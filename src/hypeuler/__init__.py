@@ -34,6 +34,7 @@ from .symfunc_series import (
     ps_mul,
     series_mul,
     specialize_p1,
+    sum_of_products,
 )
 from .schur_transform import (
     Partition,
@@ -85,6 +86,7 @@ __all__ = [
     "series_mul",
     "binomial_factor",
     "product_of_factors",
+    "sum_of_products",
     "linear_combine",
     "specialize_p1",
     "Partition",

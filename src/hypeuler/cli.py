@@ -108,30 +108,25 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _series_rows(
     series: TSeries, basis: str, twisted: bool
-) -> list[tuple[int, list[tuple[str, list, str]]]]:
-    # Per degree n: (n, [(kind, key, value string), ...]) in canonical order.
+) -> list[tuple[int, list[tuple[list, str, str]]]]:
+    # Per degree n: (n, [(JSON key, text key, value string), ...]) in
+    # canonical order.
     rows = []
     for n, poly in enumerate(series.coeffs):
-        coeffs: list[tuple[str, list, str]] = []
+        coeffs: list[tuple[list, str, str]] = []
         if basis == "powersum":
             for mono, value in poly.sorted_terms():
-                coeffs.append(
-                    ("monomial", [[k, e] for k, e in mono.exps], str(value))
-                )
+                key = [[k, e] for k, e in mono.exps]
+                coeffs.append((key, str(mono), str(value)))
         else:
             vec = p_to_schur(poly, n)
             if twisted:
                 vec = sign_twist(vec)
             for lam, value in vec.sorted_items():
-                coeffs.append(("partition", list(lam.parts), str(value)))
+                key = list(lam.parts)
+                coeffs.append((key, _partition_text(key), str(value)))
         rows.append((n, coeffs))
     return rows
-
-
-def _mono_text(key: list) -> str:
-    if not key:
-        return "1"
-    return "*".join(f"p{k}" if e == 1 else f"p{k}^{e}" for k, e in key)
 
 
 def _partition_text(key: list) -> str:
@@ -142,6 +137,7 @@ def _emit_series(args: argparse.Namespace) -> int:
     series = equivariant_series(args.genus, args.max_points)
     twisted = args.schur_convention == "sign-twisted"
     rows = _series_rows(series, args.basis, twisted)
+    label = "monomial" if args.basis == "powersum" else "partition"
     if args.format == "json":
         doc = {
             "genus": args.genus,
@@ -151,8 +147,8 @@ def _emit_series(args: argparse.Namespace) -> int:
                 {
                     "n": n,
                     "coeffs": [
-                        {kind: key, "value": value}
-                        for kind, key, value in coeffs
+                        {label: key, "value": value}
+                        for key, _, value in coeffs
                     ],
                 }
                 for n, coeffs in rows
@@ -160,15 +156,9 @@ def _emit_series(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":
-        label = "monomial" if args.basis == "powersum" else "partition"
         print(f"n,{label},value")
         for n, coeffs in rows:
-            for kind, key, value in coeffs:
-                text = (
-                    _mono_text(key)
-                    if kind == "monomial"
-                    else _partition_text(key)
-                )
+            for _, text, value in coeffs:
                 print(f"{n},{text},{value}")
     else:
         for n, coeffs in rows:
@@ -176,12 +166,7 @@ def _emit_series(args: argparse.Namespace) -> int:
                 print(f"t^{n}: 0")
                 continue
             parts = []
-            for kind, key, value in coeffs:
-                text = (
-                    _mono_text(key)
-                    if kind == "monomial"
-                    else _partition_text(key)
-                )
+            for _, text, value in coeffs:
                 if text == "1":
                     parts.append(value)
                 elif value == "1":

@@ -37,12 +37,7 @@ from math import factorial
 
 from .exact_arith import divisors, euler_phi, gen_binomial
 from .schur_transform import SchurVector, p_to_schur
-from .symfunc_series import (
-    PSMonomial,
-    TSeries,
-    linear_combine,
-    product_of_factors,
-)
+from .symfunc_series import PSMonomial, TSeries, sum_of_products
 
 __all__ = [
     "GenusParams",
@@ -243,10 +238,9 @@ def equivariant_series(g: int, order: int) -> TSeries:
     """
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    terms = symmetry_classes(g)
-    return linear_combine(
-        (term.coefficient, product_of_factors(term.factors, order))
-        for term in terms
+    return sum_of_products(
+        ((term.coefficient, term.factors) for term in symmetry_classes(g)),
+        order,
     )
 
 
@@ -321,7 +315,8 @@ def chi_pointed(g: int, n: int) -> int:
     )
     if n <= 2 * g + 2:
         lead -= Fraction(factorial(2 * g - 1), 2 * factorial(2 * g + 2 - n))
-    assert lead.denominator == 1
+    if lead.denominator != 1:
+        raise ArithmeticError(f"chi(H_({g},{n})) is not an integer: {lead}")
     return int(lead)
 
 

@@ -7,16 +7,25 @@ product p_{k_1}^{e_1} * ... stored as a sorted sparse exponent map, a
 is a polynomial in a formal variable t truncated at a fixed order whose t^n
 coefficient is a ``PSPolynomial``.
 
-All series arithmetic discards t-degrees above the truncation order, and
-multiplication additionally drops monomials of weight above that order: the
-pipeline only ever builds series whose t^n coefficient is homogeneous of
-weight n, so nothing that could survive to a retained degree is ever lost,
-and memory stays bounded.
+The moduli pipeline needs one operation on these: a rational combination of
+products of binomial factors (1 + p_k t^k)^m, computed by
+``sum_of_products``.  It works as a direct-product kernel over integers.
+Factors sharing a generator merge into one, so the generators of a product
+are distinct and its monomials are exactly the exponent vectors (j_k) with
+sum k*j_k <= N, each met once with coefficient prod C(m_k, j_k).  Weights
+are scaled to their common denominator, coefficients are summed as
+integers, and monomials and fractions are built once at the end.  In such a
+series the t^n coefficient is homogeneous of weight n.
+
+``ps_mul`` and ``series_mul`` are general products for that algebra; they
+discard t-degrees above the truncation order and monomials of weight above
+it, which for weight-graded operands loses nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .exact_arith import Rational, gen_binomial
@@ -29,6 +38,7 @@ __all__ = [
     "series_mul",
     "binomial_factor",
     "product_of_factors",
+    "sum_of_products",
     "linear_combine",
     "specialize_p1",
 ]
@@ -224,14 +234,18 @@ class PSPolynomial:
         return out
 
 
-def ps_mul(a: PSPolynomial, b: PSPolynomial, weight_cap: int) -> PSPolynomial:
-    """Product of two polynomials, dropping monomials of weight > weight_cap."""
-    if weight_cap < 0:
-        raise ValueError(f"weight_cap must be >= 0, got {weight_cap}")
-    out: dict[PSMonomial, Fraction] = {}
-    for ma, ca in a.terms.items():
+def _mul_into(
+    out: dict[PSMonomial, Fraction],
+    terms_a: Iterable[tuple[PSMonomial, Fraction]],
+    terms_b: Iterable[tuple[PSMonomial, Fraction]],
+    weight_cap: int,
+) -> None:
+    # Add the product of two term collections into out, dropping monomials
+    # of weight > weight_cap and entries that cancel to zero.  terms_b is
+    # iterated once per term of terms_a.
+    for ma, ca in terms_a:
         wa = ma.weight
-        for mb, cb in b.terms.items():
+        for mb, cb in terms_b:
             if wa + mb.weight > weight_cap:
                 continue
             m = ma * mb
@@ -240,6 +254,14 @@ def ps_mul(a: PSPolynomial, b: PSPolynomial, weight_cap: int) -> PSPolynomial:
                 out[m] = new
             else:
                 out.pop(m, None)
+
+
+def ps_mul(a: PSPolynomial, b: PSPolynomial, weight_cap: int) -> PSPolynomial:
+    """Product of two polynomials, dropping monomials of weight > weight_cap."""
+    if weight_cap < 0:
+        raise ValueError(f"weight_cap must be >= 0, got {weight_cap}")
+    out: dict[PSMonomial, Fraction] = {}
+    _mul_into(out, a.terms.items(), b.terms.items(), weight_cap)
     return PSPolynomial(out)
 
 
@@ -331,23 +353,12 @@ def series_mul(a: TSeries, b: TSeries) -> TSeries:
     for i, pa in enumerate(a.coeffs):
         if not pa:
             continue
-        terms_a = list(pa.terms.items())
         for j in range(n_max - i + 1):
             pb = b.coeffs[j]
-            if not pb:
-                continue
-            bucket = buckets[i + j]
-            for ma, ca in terms_a:
-                wa = ma.weight
-                for mb, cb in pb.terms.items():
-                    if wa + mb.weight > n_max:
-                        continue
-                    m = ma * mb
-                    new = bucket.get(m, 0) + ca * cb
-                    if new:
-                        bucket[m] = new
-                    else:
-                        bucket.pop(m, None)
+            if pb:
+                _mul_into(
+                    buckets[i + j], pa.terms.items(), pb.terms.items(), n_max
+                )
     return TSeries(n_max, [PSPolynomial(bk) for bk in buckets])
 
 
@@ -381,10 +392,84 @@ def product_of_factors(
 
     The empty product is the unit series.
     """
-    result = TSeries.one(order)
+    return sum_of_products([(1, factors)], order)
+
+
+def _merged_generators(
+    factors: Iterable[tuple[int, int]], order: int
+) -> list[tuple[int, int]]:
+    # (k, m) pairs with distinct k in ascending order, exponents of a shared
+    # generator summed; factors equal to 1 below t^(order+1) are dropped.
+    merged: dict[int, int] = {}
     for k, m in factors:
-        result = series_mul(result, binomial_factor(k, m, order))
-    return result
+        if k < 1:
+            raise ValueError(f"generator index must be >= 1, got {k}")
+        merged[k] = merged.get(k, 0) + m
+    return sorted((k, m) for k, m in merged.items() if m and k <= order)
+
+
+def _direct_product(
+    gens: list[tuple[int, int]], order: int
+) -> list[tuple[tuple[tuple[int, int], ...], int, int]]:
+    # The monomials of prod (1 + p_k t^k)^m over distinct generators, as
+    # (exponent tuple, weight, integer coefficient) triples of weight
+    # <= order.  Distinct generators make every exponent vector occur once.
+    out: list[tuple[tuple[tuple[int, int], ...], int, int]] = [((), 0, 1)]
+    for k, m in gens:
+        row = []
+        for j in range(1, order // k + 1):
+            c = gen_binomial(m, j)
+            if not c:
+                break
+            row.append((((k, j),), k * j, c))
+        grown = list(out)
+        for exps, w, c in out:
+            for gen_exps, gen_w, gen_c in row:
+                if w + gen_w > order:
+                    break
+                grown.append((exps + gen_exps, w + gen_w, c * gen_c))
+        out = grown
+    return out
+
+
+def sum_of_products(
+    terms: Iterable[tuple[Rational, Iterable[tuple[int, int]]]], order: int
+) -> TSeries:
+    """Exact sum of w * prod (1 + p_k t^k)^m over (w, factors) terms.
+
+    Each term is a rational weight and a list of (k, m) binomial factors
+    with k >= 1 and any integer m; the result is truncated at t^order.
+    """
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
+    merged = [
+        (Fraction(weight), _merged_generators(factors, order))
+        for weight, factors in terms
+    ]
+    denom = lcm(*(weight.denominator for weight, _ in merged))
+    sums: list[dict[tuple[tuple[int, int], ...], int]] = [
+        {} for _ in range(order + 1)
+    ]
+    for weight, gens in merged:
+        scale = weight.numerator * (denom // weight.denominator)
+        if not scale:
+            continue
+        for exps, w, c in _direct_product(gens, order):
+            bucket = sums[w]
+            bucket[exps] = bucket.get(exps, 0) + scale * c
+    return TSeries(
+        order,
+        [
+            PSPolynomial(
+                {
+                    PSMonomial(exps): Fraction(num, denom)
+                    for exps, num in bucket.items()
+                    if num
+                }
+            )
+            for bucket in sums
+        ],
+    )
 
 
 def linear_combine(terms: Iterable[tuple[Rational, TSeries]]) -> TSeries:

@@ -12,7 +12,15 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from hypeuler.symfunc_series import PSMonomial, PSPolynomial
+from hypeuler.hyperelliptic_core import symmetry_classes
+from hypeuler.symfunc_series import (
+    PSMonomial,
+    PSPolynomial,
+    TSeries,
+    binomial_factor,
+    linear_combine,
+    series_mul,
+)
 
 # ---------------------------------------------------------------------------
 # number theory
@@ -116,3 +124,23 @@ def cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
         for k in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the equivariant series by one truncated series product per factor
+
+
+def reference_product(factors, order: int) -> TSeries:
+    """prod (1 + p_k t^k)^m, multiplying in one binomial series at a time."""
+    result = TSeries.one(order)
+    for k, m in factors:
+        result = series_mul(result, binomial_factor(k, m, order))
+    return result
+
+
+def reference_equivariant_series(g: int, order: int) -> TSeries:
+    """The class-weighted sum of per-class products, combined as series."""
+    return linear_combine(
+        (term.coefficient, reference_product(term.factors, order))
+        for term in symmetry_classes(g)
+    )

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 import hypeuler.cli as cli
 from hypeuler.verify import CheckResult
@@ -135,6 +138,42 @@ class TestSeriesCommand:
         _, first, _ = run_capture(capsys, args)
         _, second, _ = run_capture(capsys, args)
         assert first == second
+
+
+# sha256 of `hypeuler series` stdout at high degrees, recorded from the
+# factor-by-factor series-product implementation.
+SERIES_DIGESTS = [
+    (60, 90, "text", "77130c3e33ef0efb1616580f08615e07"
+     "0238dcf3675d3fb8c5346fb3842efa3b"),
+    (60, 90, "json", "e48ad0c40ec6478d9fe6b74251dcc19d"
+     "ea053516c7cfd7c9e7120f0a79207899"),
+    (60, 90, "csv", "8a5034a0b20278ebc2e42f28116ff112"
+     "0d3ba02e272cf787a63ecd84f83b6f1a"),
+    (41, 77, "text", "d1bcf1b04925c02f1d22c5d7c54fbf33"
+     "b91a7b736107534a2f9945b232e05892"),
+    (41, 77, "json", "7621b881ac42c2da5083278b420c2331"
+     "cc8d7199618cfbe634d42d9d51a627a9"),
+    (41, 77, "csv", "958baa4fd7ba2a16370ef95bd9d5e43a"
+     "a40ae33c1b55b2c98aac6dcaf670c936"),
+    (2, 30, "text", "d80c59e5c18948a45d04a8c96993c4b9"
+     "9b20a6e99b1eee553fb646fe29b67515"),
+    (2, 30, "json", "712217edc29e0e52d71f206097d77300"
+     "966e112481d89614390a4ac7eb784eee"),
+    (2, 30, "csv", "f632c488c55f89fa0d231d3d871580ef"
+     "af49501ab1551a98757633a96faf3c83"),
+]
+
+
+@pytest.mark.parametrize(
+    "genus,points,fmt,digest",
+    SERIES_DIGESTS,
+    ids=[f"g{g}-N{n}-{fmt}" for g, n, fmt, _ in SERIES_DIGESTS],
+)
+def test_series_output_digest(capsys, genus, points, fmt, digest):
+    args = ["series", "--genus", str(genus), "--max-points", str(points)]
+    code, out, _ = run_capture(capsys, args + ["--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEulerCommand:

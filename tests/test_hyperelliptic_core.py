@@ -18,6 +18,7 @@ from hypeuler.hyperelliptic_core import (
 )
 from hypeuler.schur_transform import Partition, SchurVector, schur_dimension_sum
 from hypeuler.symfunc_series import PSMonomial, PSPolynomial, specialize_p1
+from oracles import reference_equivariant_series
 
 P2 = PSMonomial(((2, 1),))
 P4 = PSMonomial(((4, 1),))
@@ -149,6 +150,18 @@ class TestEquivariantSeries:
             for term in symmetry_classes(g):
                 series = product_of_factors(term.factors, 6)
                 assert series.is_weight_graded(), term.label
+
+    @pytest.mark.parametrize("g", range(2, 26))
+    def test_matches_series_product_reference(self, g):
+        # Each genus has a class with a repeated generator, which the kernel
+        # merges and the reference multiplies in factor by factor.
+        assert any(
+            len({k for k, _ in term.factors}) < len(term.factors)
+            for term in symmetry_classes(g)
+        )
+        for order in (0, 1, 2, 9, 40):
+            want = reference_equivariant_series(g, order)
+            assert equivariant_series(g, order) == want, order
 
     def test_specialization_matches_closed_form(self):
         for g in (2, 3, 4):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypeuler.symfunc_series import (
     PSMonomial,
@@ -13,8 +13,9 @@ from hypeuler.symfunc_series import (
     ps_mul,
     series_mul,
     specialize_p1,
+    sum_of_products,
 )
-from oracles import cauchy_product, naive_ps_mul
+from oracles import cauchy_product, naive_ps_mul, reference_product
 
 P1 = PSPolynomial.gen(1)
 P2 = PSPolynomial.gen(2)
@@ -155,6 +156,63 @@ class TestProductOfFactors:
     def test_two_factors(self):
         got = product_of_factors([(1, 2), (2, 1)], 2)
         assert got.coeffs[2] == poly((((1, 2),), 1), (((2, 1),), 1))
+
+    def test_rejects_bad_generator(self):
+        with pytest.raises(ValueError):
+            product_of_factors([(1, 2), (0, 1)], 3)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            product_of_factors([], -1)
+
+
+# Factor lists with repeated generators, negative exponents, generators
+# above the order, and exponents of one generator cancelling to zero.
+@st.composite
+def factor_lists(draw):
+    factors = draw(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.integers(-6, 6)), max_size=6
+        )
+    )
+    if factors and draw(st.booleans()):
+        k, m = draw(st.sampled_from(factors))
+        factors.append((k, -m))
+    return draw(st.permutations(factors))
+
+
+@given(factor_lists(), st.integers(0, 12))
+@settings(max_examples=150)
+@example([], 0)
+@example([], 5)
+@example([(2, 3), (2, -3)], 8)
+@example([(1, 2), (2, 1), (2, -3)], 10)
+@example([(9, -5), (1, -2)], 4)
+def test_product_of_factors_matches_reference(factors, order):
+    assert product_of_factors(factors, order) == reference_product(
+        factors, order
+    )
+
+
+class TestSumOfProducts:
+    def test_empty_sum_is_zero(self):
+        assert sum_of_products([], 3) == TSeries.zero(3)
+
+    def test_cancellation(self):
+        got = sum_of_products([(1, [(1, 3)]), (-1, [(1, 3)])], 4)
+        assert got == TSeries.zero(4)
+
+    def test_matches_linear_combine(self):
+        terms = [
+            (Fraction(-1, 6), [(1, 2), (3, -1)]),
+            (Fraction(3, 4), [(2, 2), (2, -4)]),
+            (Fraction(0), [(1, 5)]),
+            (2, [(1, 1), (2, 1), (3, 2), (6, -2)]),
+        ]
+        want = linear_combine(
+            (w, reference_product(factors, 7)) for w, factors in terms
+        )
+        assert sum_of_products(terms, 7) == want
 
 
 class TestLinearCombine:
