@@ -8,9 +8,11 @@ Three subcommands:
 * ``verify``: the exact cross-validation battery.
 
 Output is deterministic: terms are emitted in a fixed canonical order and
-rationals render as ``p/q`` (or a bare integer).  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 on success, 1 when verification
-fails, 2 on usage or domain errors.
+rationals render as ``p/q`` (or a bare integer).  ``series`` builds its
+whole output as one string and writes it once; its JSON is emitted
+directly, byte for byte what ``json.dumps(doc, indent=2)`` gives for the
+same document.  Data goes to stdout, diagnostics to stderr.  Exit codes: 0
+on success, 1 when verification fails, 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -108,29 +110,106 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _series_rows(
     series: TSeries, basis: str, twisted: bool
-) -> list[tuple[int, list[tuple[list, str, str]]]]:
-    # Per degree n: (n, [(JSON key, text key, value string), ...]) in
-    # canonical order.
+) -> list[tuple[int, list[tuple[tuple, str, str]]]]:
+    # Per degree n: (n, [(key, text key, value string), ...]) in canonical
+    # order.  The key is the monomial's (k, e) pairs or the partition's parts.
     rows = []
     for n, poly in enumerate(series.coeffs):
-        coeffs: list[tuple[list, str, str]] = []
         if basis == "powersum":
-            for mono, value in poly.sorted_terms():
-                key = [[k, e] for k, e in mono.exps]
-                coeffs.append((key, str(mono), str(value)))
+            coeffs = [
+                (mono.exps, str(mono), str(value))
+                for mono, value in poly.sorted_terms()
+            ]
         else:
             vec = p_to_schur(poly, n)
             if twisted:
                 vec = sign_twist(vec)
-            for lam, value in vec.sorted_items():
-                key = list(lam.parts)
-                coeffs.append((key, _partition_text(key), str(value)))
+            coeffs = [
+                (lam.parts, _partition_text(lam.parts), str(value))
+                for lam, value in vec.sorted_items()
+            ]
         rows.append((n, coeffs))
     return rows
 
 
-def _partition_text(key: list) -> str:
-    return "s[" + ",".join(str(p) for p in key) + "]"
+def _partition_text(parts: tuple[int, ...]) -> str:
+    return "s[" + ",".join(str(p) for p in parts) + "]"
+
+
+# A newline and the indent json.dumps(indent=2) gives each nesting depth.
+_NL = tuple("\n" + "  " * depth for depth in range(8))
+
+
+def _json_array(items: Sequence[str], depth: int) -> str:
+    """Rendered values laid out as json.dumps(indent=2) lays out a list."""
+    if not items:
+        return "[]"
+    inner = _NL[depth + 1]
+    return "[" + inner + ("," + inner).join(items) + _NL[depth] + "]"
+
+
+def _json_key(key: tuple, depth: int) -> str:
+    return _json_array(
+        [
+            _json_key(x, depth + 1) if isinstance(x, tuple) else str(x)
+            for x in key
+        ],
+        depth,
+    )
+
+
+def _series_json(
+    genus: int, max_points: int, basis: str, label: str, rows: list
+) -> str:
+    """The series document exactly as json.dumps(doc, indent=2) writes it.
+
+    Nothing needs escaping: keys are ints or int pairs, values are p/q
+    strings, and the names and the basis are fixed ASCII.
+    """
+    nl1, nl2, nl3, nl4, nl5 = _NL[1:6]
+    terms = []
+    for n, coeffs in rows:
+        entries = [
+            f'{{{nl5}"{label}": {_json_key(key, 5)},'
+            f'{nl5}"value": "{value}"{nl4}}}'
+            for key, _, value in coeffs
+        ]
+        terms.append(
+            f'{{{nl3}"n": {n},{nl3}"coeffs": {_json_array(entries, 3)}{nl2}}}'
+        )
+    return (
+        f'{{{nl1}"genus": {genus},{nl1}"max_points": {max_points},'
+        f'{nl1}"basis": "{basis}",{nl1}"terms": {_json_array(terms, 1)}\n}}'
+    )
+
+
+def _series_lines(rows: list, label: str, fmt: str) -> list[str]:
+    if fmt == "csv":
+        return [f"n,{label},value"] + [
+            f"{n},{text},{value}"
+            for n, coeffs in rows
+            for _, text, value in coeffs
+        ]
+    lines = []
+    for n, coeffs in rows:
+        if not coeffs:
+            lines.append(f"t^{n}: 0")
+            continue
+        parts = []
+        for _, text, value in coeffs:
+            if text == "1":
+                parts.append(value)
+            elif value == "1":
+                parts.append(text)
+            elif value == "-1":
+                parts.append(f"-{text}")
+            else:
+                parts.append(f"{value}*{text}")
+        joined = parts[0]
+        for p in parts[1:]:
+            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        lines.append(f"t^{n}: {joined}")
+    return lines
 
 
 def _emit_series(args: argparse.Namespace) -> int:
@@ -139,46 +218,12 @@ def _emit_series(args: argparse.Namespace) -> int:
     rows = _series_rows(series, args.basis, twisted)
     label = "monomial" if args.basis == "powersum" else "partition"
     if args.format == "json":
-        doc = {
-            "genus": args.genus,
-            "max_points": args.max_points,
-            "basis": args.basis,
-            "terms": [
-                {
-                    "n": n,
-                    "coeffs": [
-                        {label: key, "value": value}
-                        for key, _, value in coeffs
-                    ],
-                }
-                for n, coeffs in rows
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print(f"n,{label},value")
-        for n, coeffs in rows:
-            for _, text, value in coeffs:
-                print(f"{n},{text},{value}")
+        out = _series_json(
+            args.genus, args.max_points, args.basis, label, rows
+        )
     else:
-        for n, coeffs in rows:
-            if not coeffs:
-                print(f"t^{n}: 0")
-                continue
-            parts = []
-            for _, text, value in coeffs:
-                if text == "1":
-                    parts.append(value)
-                elif value == "1":
-                    parts.append(text)
-                elif value == "-1":
-                    parts.append(f"-{text}")
-                else:
-                    parts.append(f"{value}*{text}")
-            joined = parts[0]
-            for p in parts[1:]:
-                joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-            print(f"t^{n}: {joined}")
+        out = "\n".join(_series_lines(rows, label, args.format))
+    sys.stdout.write(out + "\n")
     return 0
 
 

@@ -145,7 +145,8 @@ class PSPolynomial:
         clean: dict[PSMonomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
         object.__setattr__(self, "terms", clean)

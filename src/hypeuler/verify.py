@@ -359,6 +359,12 @@ def run_battery(
         raise ValueError(f"empty genus range {g_lo}..{g_hi}")
     if max_points < 0:
         raise ValueError(f"max points must be >= 0, got {max_points}")
+    if double_sum_depth < 0:
+        raise ValueError(
+            f"double-sum depth must be >= 0, got {double_sum_depth}"
+        )
+    if totient_limit < 1:
+        raise ValueError(f"totient limit must be >= 1, got {totient_limit}")
     results = [
         check_specialization(g_lo, g_hi, max_points),
         check_closed_forms(g_lo, g_hi, max_points),

@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hypeuler.cli as cli
+from hypeuler.hyperelliptic_core import equivariant_series
+from hypeuler.schur_transform import p_to_schur, sign_twist
 from hypeuler.verify import CheckResult
 
 
@@ -176,6 +182,139 @@ def test_series_output_digest(capsys, genus, points, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `hypeuler series --basis schur` stdout, recorded from the
+# json.dumps-based renderer.
+SCHUR_DIGESTS = [
+    (7, 16, "text", "standard", "b35c32cafcafa8496fdf2bce7406a2cb"
+     "ad263fdd0858f6ed1afbc6c904901965"),
+    (7, 16, "json", "standard", "b297868bd299433db25fc55ec0742477"
+     "d74b82fdf2f3cafe26e9086119d92184"),
+    (7, 16, "csv", "standard", "34c2fc6b318b2f39cd2bc5669f43cad2"
+     "b0cc241a405c30a633cdc53b9e7ed776"),
+    (7, 16, "text", "sign-twisted", "1881a4321e15954af2997281a22edd71"
+     "330ff311cddd4e01075acad7a58eabb7"),
+    (7, 16, "json", "sign-twisted", "bda006605e4bb38226373988e930e84c"
+     "744e4de702f0f7660d79bf0ec928d6de"),
+    (7, 16, "csv", "sign-twisted", "b52bc60d7097803b036f0475f6061b39"
+     "883418c22480a6ce8e93c7bf2a10b5e8"),
+    (30, 14, "text", "standard", "4f5b70edd858140e1e54ddbc8e03fef6"
+     "5826cd1c4860c780c7554ffd2bc5ac7d"),
+    (30, 14, "json", "standard", "294f73138794c2bee8e18e652cb1ec82"
+     "cba7f420722a9902af785244e2b2bd3a"),
+    (30, 14, "csv", "standard", "d3e9b38c199f2794ede1a70c238b1ca7"
+     "da4615637ed175a31c6d992cfe978c16"),
+    (30, 14, "text", "sign-twisted", "18a1decf3694333a1613d9519cfba010"
+     "60069f283a136d1f3e563d5f862c5cfe"),
+    (30, 14, "json", "sign-twisted", "db7f9087f9ea0ad7918d7096a53f007a"
+     "e57fc2b867ae3f5a218d6250d43c7a13"),
+    (30, 14, "csv", "sign-twisted", "9fb35f2872df2a4ae90d0b1d47d73aef"
+     "7af5802b00bed3dab28d74769dfd1cc3"),
+]
+
+
+@pytest.mark.parametrize(
+    "genus,points,fmt,convention,digest",
+    SCHUR_DIGESTS,
+    ids=[f"g{g}-N{n}-{fmt}-{conv}" for g, n, fmt, conv, _ in SCHUR_DIGESTS],
+)
+def test_schur_output_digest(capsys, genus, points, fmt, convention, digest):
+    args = ["series", "--genus", str(genus), "--max-points", str(points)]
+    args += ["--basis", "schur", "--schur-convention", convention]
+    code, out, _ = run_capture(capsys, args + ["--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _series_coefficients(genus, points, basis, convention):
+    # Per degree, {JSON key as nested tuples: coefficient} in canonical order.
+    series = equivariant_series(genus, points)
+    out = []
+    for n, poly in enumerate(series.coeffs):
+        if basis == "powersum":
+            out.append({m.exps: c for m, c in poly.sorted_terms()})
+        else:
+            vec = p_to_schur(poly, n)
+            if convention == "sign-twisted":
+                vec = sign_twist(vec)
+            out.append({lam.parts: c for lam, c in vec.sorted_items()})
+    return out
+
+
+def _json_series(genus, points, basis, convention):
+    """Emitted JSON checked against json.dumps; returns the parsed document."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(
+            [
+                "series",
+                "--genus",
+                str(genus),
+                "--max-points",
+                str(points),
+                "--basis",
+                basis,
+                "--schur-convention",
+                convention,
+                "--format",
+                "json",
+            ]
+        )
+    assert code == 0
+    coeffs = _series_coefficients(genus, points, basis, convention)
+    label = "monomial" if basis == "powersum" else "partition"
+    doc = {
+        "genus": genus,
+        "max_points": points,
+        "basis": basis,
+        "terms": [
+            {
+                "n": n,
+                "coeffs": [
+                    {label: [list(k) if isinstance(k, tuple) else k
+                             for k in key], "value": str(value)}
+                    for key, value in terms.items()
+                ],
+            }
+            for n, terms in enumerate(coeffs)
+        ],
+    }
+    out = buf.getvalue()
+    assert out == json.dumps(doc, indent=2) + "\n"
+    parsed = json.loads(out)
+    for term, terms in zip(parsed["terms"], coeffs, strict=True):
+        got = {
+            tuple(tuple(k) if isinstance(k, list) else k for k in c[label]):
+            Fraction(c["value"])
+            for c in term["coeffs"]
+        }
+        assert got == terms
+    return parsed
+
+
+@st.composite
+def series_requests(draw):
+    basis = draw(st.sampled_from(["powersum", "schur"]))
+    points = draw(st.integers(0, 40 if basis == "powersum" else 14))
+    convention = draw(st.sampled_from(["standard", "sign-twisted"]))
+    return draw(st.integers(2, 60)), points, basis, convention
+
+
+@given(series_requests())
+@settings(max_examples=40, deadline=None)
+@example((2, 0, "powersum", "standard"))
+@example((3, 0, "schur", "sign-twisted"))
+def test_series_json_matches_json_dumps(call):
+    _json_series(*call)
+
+
+@pytest.mark.parametrize("basis", ["powersum", "schur"])
+def test_series_json_empty_degree(basis):
+    # t^3 vanishes for every even genus.
+    doc = _json_series(4, 5, basis, "standard")
+    assert doc["terms"][3]["coeffs"] == []
+    assert doc["terms"][4]["coeffs"]
+
+
 class TestEulerCommand:
     def test_table_contains_known_value(self, capsys):
         code, out, _ = run_capture(
@@ -291,6 +430,24 @@ class TestExitCodes:
     def test_malformed_flags(self, capsys):
         assert cli.run(["series", "--genus", "2", "--bogus"]) == 2
         capsys.readouterr()
+
+    def test_negative_double_sum_depth(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["verify", "--genus-range", "2..2", "--double-sum-depth", "-5"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "double-sum depth" in err
+
+    def test_zero_totient_limit(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["verify", "--genus-range", "2..2", "--totient-limit", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "totient limit" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run_capture(
