@@ -110,14 +110,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _series_rows(
     series: TSeries, basis: str, twisted: bool
-) -> list[tuple[int, list[tuple[tuple, str, str]]]]:
-    # Per degree n: (n, [(key, text key, value string), ...]) in canonical
-    # order.  The key is the monomial's (k, e) pairs or the partition's parts.
+) -> list[tuple[int, list[tuple[tuple, object, str]]]]:
+    # Per degree n: (n, [(key, term, value string), ...]) in canonical
+    # order.  The term is the PSMonomial or Partition, rendered only for
+    # text and csv; the key is its (k, e) pairs or parts, for JSON.
     rows = []
     for n, poly in enumerate(series.coeffs):
         if basis == "powersum":
             coeffs = [
-                (mono.exps, str(mono), str(value))
+                (mono.exps, mono, str(value))
                 for mono, value in poly.sorted_terms()
             ]
         else:
@@ -125,15 +126,11 @@ def _series_rows(
             if twisted:
                 vec = sign_twist(vec)
             coeffs = [
-                (lam.parts, _partition_text(lam.parts), str(value))
+                (lam.parts, lam, str(value))
                 for lam, value in vec.sorted_items()
             ]
         rows.append((n, coeffs))
     return rows
-
-
-def _partition_text(parts: tuple[int, ...]) -> str:
-    return "s[" + ",".join(str(p) for p in parts) + "]"
 
 
 # A newline and the indent json.dumps(indent=2) gives each nesting depth.
@@ -184,11 +181,13 @@ def _series_json(
 
 
 def _series_lines(rows: list, label: str, fmt: str) -> list[str]:
+    # str(Partition) is "[2,1]"; the Schur basis element is "s[2,1]".
+    prefix = "s" if label == "partition" else ""
     if fmt == "csv":
         return [f"n,{label},value"] + [
-            f"{n},{text},{value}"
+            f"{n},{prefix}{term},{value}"
             for n, coeffs in rows
-            for _, text, value in coeffs
+            for _, term, value in coeffs
         ]
     lines = []
     for n, coeffs in rows:
@@ -196,7 +195,8 @@ def _series_lines(rows: list, label: str, fmt: str) -> list[str]:
             lines.append(f"t^{n}: 0")
             continue
         parts = []
-        for _, text, value in coeffs:
+        for _, term, value in coeffs:
+            text = f"{prefix}{term}"
             if text == "1":
                 parts.append(value)
             elif value == "1":

@@ -8,18 +8,26 @@ mu, its Schur expansion is obtained through the classical pairing
 
 where chi^lambda is the irreducible character indexed by lambda.  The
 characters are computed by the Murnaghan-Nakayama border-strip recursion,
-implemented on beta-sets (first-column hook lengths) and memoized.
+implemented on beta-sets (first-column hook lengths) and memoized on
+part tuples.
 
 The inverse expansion s_lambda = sum_mu chi^lambda(mu)/z_mu p_mu, with z_mu
 the centralizer order of the cycle type, is provided for round-trip checks.
+
+Every conversion pairs characters with integers: the rational coefficients
+are scaled once to their common denominator (for the inverse expansion also
+times n!, which every z_mu divides), the pairings are summed as integers,
+and one Fraction is built per nonzero output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Mapping
+from itertools import repeat
+from math import factorial, lcm
+from operator import mul
+from typing import Collection, Iterable, Mapping
 
 from .exact_arith import Rational
 from .symfunc_series import PSMonomial, PSPolynomial
@@ -58,6 +66,14 @@ class Partition:
                 raise ValueError(f"parts must be non-increasing: {parts}")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "_hash", hash(parts))
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        # For part tuples generated positive and non-increasing.
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        object.__setattr__(lam, "_hash", hash(parts))
+        return lam
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -102,7 +118,7 @@ def partitions_of(n: int) -> list[Partition]:
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._trusted(tuple(prefix)))
             return
         for first in range(min(max_part, remaining), 0, -1):
             prefix.append(first)
@@ -160,24 +176,43 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return _mn(lam.parts, mu.parts)
 
 
+def _cycle_parts(exps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    # The parts of p_k^e_k..., largest first as in Partition.parts.
+    return tuple(k for k, e in reversed(exps) for _ in range(e))
+
+
+def _multiplicities(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # (part, multiplicity) pairs by ascending part: the exponents of p_mu.
+    mult: dict[int, int] = {}
+    for p in parts:
+        mult[p] = mult.get(p, 0) + 1
+    return tuple(sorted(mult.items()))
+
+
+def _centralizer(exps: tuple[tuple[int, int], ...]) -> int:
+    z = 1
+    for k, e in exps:
+        z *= k**e * factorial(e)
+    return z
+
+
+def _common_denominator(
+    coeffs: Collection[Fraction],
+) -> tuple[list[int], int]:
+    # The coefficients as integer numerators over their least common
+    # denominator (1 for an empty collection).
+    denom = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (denom // c.denominator) for c in coeffs], denom
+
+
 def p_monomial_cycle_type(mono: PSMonomial) -> Partition:
     """The cycle type with e_k parts equal to k for each factor p_k^e_k."""
-    parts: list[int] = []
-    for k, e in mono.exps:
-        parts.extend([k] * e)
-    parts.sort(reverse=True)
-    return Partition(parts)
+    return Partition(_cycle_parts(mono.exps))
 
 
 def centralizer_order(mu: Partition) -> int:
     """z_mu = prod_k k^(e_k) e_k! over the distinct part sizes of mu."""
-    z = 1
-    mult: dict[int, int] = {}
-    for p in mu.parts:
-        mult[p] = mult.get(p, 0) + 1
-    for k, e in mult.items():
-        z *= k**e * factorial(e)
-    return z
+    return _centralizer(_multiplicities(mu.parts))
 
 
 class SchurVector:
@@ -199,7 +234,8 @@ class SchurVector:
             for lam, c in coeffs.items():
                 if lam.size != n:
                     raise ValueError(f"partition {lam} does not have size {n}")
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[lam] = c
         object.__setattr__(self, "n", n)
@@ -247,43 +283,37 @@ def p_to_schur(poly: PSPolynomial, n: int) -> SchurVector:
     With poly = sum_mu c_mu p_mu, returns the vector whose lambda entry is
     sum_mu c_mu chi^lambda(mu).
     """
-    cycle_coeffs: dict[Partition, Fraction] = {}
-    for mono, coeff in poly.terms.items():
+    for mono in poly.terms:
         if mono.weight != n:
             raise ValueError(
                 f"monomial {mono} has weight {mono.weight}, expected {n}"
             )
-        mu = p_monomial_cycle_type(mono)
-        cycle_coeffs[mu] = cycle_coeffs.get(mu, Fraction(0)) + coeff
+    # Distinct monomials have distinct cycle types, all of size n.
+    mus = [_cycle_parts(mono.exps) for mono in poly.terms]
+    nums, denom = _common_denominator(poly.terms.values())
     out: dict[Partition, Fraction] = {}
     for lam in partitions_of(n):
-        total = Fraction(0)
-        for mu, c in cycle_coeffs.items():
-            total += c * mn_character(lam, mu)
+        total = sum(map(mul, nums, map(_mn, repeat(lam.parts), mus)))
         if total:
-            out[lam] = total
+            out[lam] = Fraction(total, denom)
     return SchurVector(n, out)
 
 
 def schur_to_p(vec: SchurVector) -> PSPolynomial:
     """Inverse expansion: s_lambda = sum_mu chi^lambda(mu)/z_mu * p_mu."""
+    n = vec.n
+    lams = [lam.parts for lam in vec.coeffs]
+    nums, denom = _common_denominator(vec.coeffs.values())
+    # n!/z_mu is the size of a conjugacy class, an integer.
+    n_fact = factorial(n)
     terms: dict[PSMonomial, Fraction] = {}
-    for lam, c in vec.coeffs.items():
-        for mu in partitions_of(vec.n):
-            chi = mn_character(lam, mu)
-            if not chi:
-                continue
-            exps: dict[int, int] = {}
-            for part in mu.parts:
-                exps[part] = exps.get(part, 0) + 1
-            mono = PSMonomial(sorted(exps.items()))
-            val = terms.get(mono, Fraction(0)) + c * Fraction(
-                chi, centralizer_order(mu)
+    for mu in partitions_of(n):
+        total = sum(map(mul, nums, map(_mn, lams, repeat(mu.parts))))
+        if total:
+            exps = _multiplicities(mu.parts)
+            terms[PSMonomial._trusted(exps, n)] = Fraction(
+                total * (n_fact // _centralizer(exps)), n_fact * denom
             )
-            if val:
-                terms[mono] = val
-            else:
-                terms.pop(mono, None)
     return PSPolynomial(terms)
 
 
@@ -293,13 +323,12 @@ def schur_dimension_sum(vec: SchurVector) -> Fraction:
     For the pipeline this recovers the plain Euler characteristic from the
     equivariant one.
     """
-    if not vec.coeffs:
-        return Fraction(0)
-    ones = Partition([1] * vec.n) if vec.n else Partition(())
-    total = Fraction(0)
-    for lam, c in vec.coeffs.items():
-        total += c * mn_character(lam, ones)
-    return total
+    ones = (1,) * vec.n
+    nums, denom = _common_denominator(vec.coeffs.values())
+    total = sum(
+        num * _mn(lam.parts, ones) for lam, num in zip(vec.coeffs, nums)
+    )
+    return Fraction(total, denom)
 
 
 def sign_twist(vec: SchurVector) -> SchurVector:

@@ -70,6 +70,18 @@ class PSMonomial:
         object.__setattr__(self, "weight", sum(k * e for k, e in exps))
         object.__setattr__(self, "_hash", hash(exps))
 
+    @classmethod
+    def _trusted(
+        cls, exps: tuple[tuple[int, int], ...], weight: int
+    ) -> "PSMonomial":
+        # For exponent tuples a kernel generated well formed, with their
+        # weight already known: skips the checks and the weight sum.
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "exps", exps)
+        object.__setattr__(mono, "weight", weight)
+        object.__setattr__(mono, "_hash", hash(exps))
+        return mono
+
     def __setattr__(self, name, value):
         raise AttributeError("PSMonomial is immutable")
 
@@ -463,12 +475,12 @@ def sum_of_products(
         [
             PSPolynomial(
                 {
-                    PSMonomial(exps): Fraction(num, denom)
+                    PSMonomial._trusted(exps, w): Fraction(num, denom)
                     for exps, num in bucket.items()
                     if num
                 }
             )
-            for bucket in sums
+            for w, bucket in enumerate(sums)
         ],
     )
 

@@ -3,7 +3,10 @@
 Everything here is deliberately implemented by a different route than the
 library: dense multivariate polynomials instead of sparse power-sum maps,
 alternant coefficient extraction instead of border-strip recursion, plain
-counting instead of closed forms.
+counting instead of closed forms.  The ``reference_*`` functions keep the
+library's earlier term-by-term kernels (series products one factor at a
+time, Schur conversion one Fraction multiply-add per character) to pin the
+integer kernels that replaced them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,14 @@ from fractions import Fraction
 from math import gcd
 
 from hypeuler.hyperelliptic_core import symmetry_classes
+from hypeuler.schur_transform import (
+    Partition,
+    SchurVector,
+    centralizer_order,
+    mn_character,
+    p_monomial_cycle_type,
+    partitions_of,
+)
 from hypeuler.symfunc_series import (
     PSMonomial,
     PSPolynomial,
@@ -144,3 +155,58 @@ def reference_equivariant_series(g: int, order: int) -> TSeries:
         (term.coefficient, reference_product(term.factors, order))
         for term in symmetry_classes(g)
     )
+
+
+# ---------------------------------------------------------------------------
+# power-sum <-> Schur conversion by one Fraction multiply-add per pair
+
+
+def reference_p_to_schur(poly: PSPolynomial, n: int) -> SchurVector:
+    """sum_mu c_mu chi^lambda(mu) for each lambda, summed as Fractions."""
+    cycle_coeffs: dict[Partition, Fraction] = {}
+    for mono, coeff in poly.terms.items():
+        if mono.weight != n:
+            raise ValueError(
+                f"monomial {mono} has weight {mono.weight}, expected {n}"
+            )
+        mu = p_monomial_cycle_type(mono)
+        cycle_coeffs[mu] = cycle_coeffs.get(mu, Fraction(0)) + coeff
+    out: dict[Partition, Fraction] = {}
+    for lam in partitions_of(n):
+        total = Fraction(0)
+        for mu, c in cycle_coeffs.items():
+            total += c * mn_character(lam, mu)
+        if total:
+            out[lam] = total
+    return SchurVector(n, out)
+
+
+def reference_schur_to_p(vec: SchurVector) -> PSPolynomial:
+    """s_lambda = sum_mu chi^lambda(mu)/z_mu p_mu, summed as Fractions."""
+    terms: dict[PSMonomial, Fraction] = {}
+    for lam, c in vec.coeffs.items():
+        for mu in partitions_of(vec.n):
+            chi = mn_character(lam, mu)
+            if not chi:
+                continue
+            exps: dict[int, int] = {}
+            for part in mu.parts:
+                exps[part] = exps.get(part, 0) + 1
+            mono = PSMonomial(sorted(exps.items()))
+            val = terms.get(mono, Fraction(0)) + c * Fraction(
+                chi, centralizer_order(mu)
+            )
+            if val:
+                terms[mono] = val
+            else:
+                terms.pop(mono, None)
+    return PSPolynomial(terms)
+
+
+def reference_schur_dimension_sum(vec: SchurVector) -> Fraction:
+    """sum_lambda c_lambda chi^lambda(1^n), summed as Fractions."""
+    ones = Partition([1] * vec.n)
+    total = Fraction(0)
+    for lam, c in vec.coeffs.items():
+        total += c * mn_character(lam, ones)
+    return total

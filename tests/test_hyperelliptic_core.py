@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypeuler.hyperelliptic_core import (
     GenusParams,
@@ -244,6 +245,16 @@ class TestEquivariantSchur:
                 vec = equivariant_schur(g, n)
                 assert vec.is_integer_valued()
                 assert schur_dimension_sum(vec) == chi_pointed(g, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.integers(11, 18))
+    @example(2, 18)
+    @example(60, 11)
+    def test_integrality_beyond_battery(self, g, n):
+        # The battery stops at n = 10; these degrees reach p(18) = 385.
+        vec = equivariant_schur(g, n)
+        assert vec.is_integer_valued()
+        assert schur_dimension_sum(vec) == chi_pointed(g, n)
 
 
 class TestLowDegreeCoefficient:

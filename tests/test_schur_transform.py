@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hypeuler.hyperelliptic_core import equivariant_series
 from hypeuler.schur_transform import (
     Partition,
     SchurVector,
@@ -16,7 +18,46 @@ from hypeuler.schur_transform import (
     sign_twist,
 )
 from hypeuler.symfunc_series import PSMonomial, PSPolynomial
-from oracles import character_oracle, partition_count
+from oracles import (
+    character_oracle,
+    partition_count,
+    reference_p_to_schur,
+    reference_schur_dimension_sum,
+    reference_schur_to_p,
+)
+
+
+def p_mu(mu: Partition) -> PSMonomial:
+    exps: dict[int, int] = {}
+    for part in mu.parts:
+        exps[part] = exps.get(part, 0) + 1
+    return PSMonomial(sorted(exps.items()))
+
+
+def assert_conversions_match_reference(poly: PSPolynomial, n: int) -> None:
+    vec = p_to_schur(poly, n)
+    assert vec == reference_p_to_schur(poly, n)
+    assert all(type(c) is Fraction for c in vec.coeffs.values())
+    back = schur_to_p(vec)
+    assert back == reference_schur_to_p(vec)
+    assert all(type(c) is Fraction for c in back.terms.values())
+    assert schur_dimension_sum(vec) == reference_schur_dimension_sum(vec)
+
+
+# hypothesis strategy: weight-n polynomials with mixed denominators
+@st.composite
+def weight_n_polys(draw):
+    n = draw(st.integers(0, 12))
+    cycle_types = draw(
+        st.lists(st.sampled_from(partitions_of(n)), max_size=12, unique=True)
+    )
+    terms = {
+        p_mu(mu): Fraction(
+            draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 720))
+        )
+        for mu in cycle_types
+    }
+    return PSPolynomial(terms), n
 
 
 class TestPartition:
@@ -171,6 +212,45 @@ class TestPToSchur:
                 p_mu = PSPolynomial({mono: Fraction(1)})
                 back = schur_to_p(p_to_schur(p_mu, n))
                 assert back == p_mu, mu
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_n_polys())
+@example((PSPolynomial(), 0))
+@example((PSPolynomial(), 5))
+@example((PSPolynomial.constant(Fraction(-7, 3)), 0))
+def test_conversions_match_reference_on_random_polys(case):
+    poly, n = case
+    assert_conversions_match_reference(poly, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 14))
+@example(2, 0)
+@example(60, 14)
+def test_conversions_match_reference_on_series_coefficients(g, n):
+    poly = equivariant_series(g, n).coeffs[n]
+    assert_conversions_match_reference(poly, n)
+
+
+def test_conversions_match_reference_on_schur_vectors():
+    # Mixed denominators on the Schur side, beyond round-trip outputs.
+    for n in range(7):
+        lams = partitions_of(n)
+        vec = SchurVector(
+            n,
+            {lam: Fraction(i - 3, i % 5 + 1) for i, lam in enumerate(lams)},
+        )
+        assert schur_to_p(vec) == reference_schur_to_p(vec)
+        assert schur_dimension_sum(vec) == reference_schur_dimension_sum(vec)
+    assert schur_to_p(SchurVector(4)) == reference_schur_to_p(SchurVector(4))
+
+
+def test_wrong_weight_raises_like_reference():
+    poly = PSPolynomial.gen(1, 3) + PSPolynomial.gen(2)
+    for convert in (p_to_schur, reference_p_to_schur):
+        with pytest.raises(ValueError, match="has weight 2, expected 3"):
+            convert(poly, 3)
 
 
 class TestSchurDimensionSum:
