@@ -2,10 +2,15 @@
 
 G. Bini derived the non-equivariant Euler characteristics of pointed
 hyperelliptic moduli in the range 5 <= n <= 2g+2 as a sum of binomial
-brackets.  This module evaluates both that long form (bracket by bracket)
-and its compact rewrite as a single double sum, entirely in exact rational
-arithmetic, as an oracle against the closed forms in
-:mod:`hypeuler.hyperelliptic_core`.
+brackets.  This module evaluates that long form bracket by bracket, in
+exact rational arithmetic, as the independent oracle against the closed
+forms in :mod:`hypeuler.hyperelliptic_core`.  Its compact rewrite is a
+rescaling of the signed double sum :func:`bini_double_sum`:
+
+    bini_chi_compact(g, n) = -(n!/2) bini_double_sum(g, n) - falling_tail/2,
+
+with falling_tail = (2g-1)(2g-2)...(2g-n+3), so the compact form adds no
+evidence beyond the double-sum identity and is computed that way.
 
 Throughout, a summand containing a factorial of a negative integer --
 whether in a numerator or a denominator -- contributes zero.  Two slips in
@@ -14,8 +19,8 @@ own compaction: the second bracket's inner binomial is read as
 C(2g-2+n-r, n-1-2r) (matching its stated upper limit floor((n-1)/2)), and
 the compaction identities are read with the factorials they visibly drop,
 i.e. (2g-1)! C(2g-3+n, n-2) = (2g-3+n)!/(n-2)! and the second-bracket
-numerator (2g-2+n-r)!.  The verification battery proves long = compact =
-closed form on the whole admissible range.
+numerator (2g-2+n-r)!.  The verification battery checks long = compact =
+closed form exactly over the genus range it is given.
 """
 
 from __future__ import annotations
@@ -70,27 +75,15 @@ def bini_chi_compact(g: int, n: int) -> Fraction:
     -((-2)^n n!/2) sum over j,r >= 0 with j + 2r <= n of
     (-1)^(j+r) 2^(-j-2r) (2g-1+n-j-r)! / (j! r! (2g+2-j)! (n-j-2r)!),
     minus half the falling product (2g-1)...(2g-n+3).
+
+    The double sum here is (-2)^(-n) times :func:`bini_double_sum`, so this
+    is -(n!/2) bini_double_sum(g, n) - falling_tail/2; it is not independent
+    of the double sum, and :func:`bini_chi_long` is the independent oracle.
     """
     _check_range(g, n)
-    total = Fraction(0)
-    for j in range(n + 1):
-        inv_j = _inv_factorial(j) * _inv_factorial(2 * g + 2 - j)
-        if not inv_j:
-            continue
-        for r in range((n - j) // 2 + 1):
-            term = (
-                Fraction((-1) ** (j + r), 2 ** (j + 2 * r))
-                * ext_factorial(2 * g - 1 + n - j - r)
-                * inv_j
-                * _inv_factorial(r)
-                * _inv_factorial(n - j - 2 * r)
-            )
-            total += term
-    value = (
-        Fraction(-((-2) ** n) * factorial(n), 2) * total
-        - Fraction(_falling_tail(g, n), 2)
+    return -Fraction(factorial(n), 2) * bini_double_sum(g, n) - Fraction(
+        _falling_tail(g, n), 2
     )
-    return value
 
 
 def bini_chi_long(g: int, n: int) -> Fraction:

@@ -6,8 +6,10 @@ in exact arithmetic, so every comparison is at zero tolerance:
 * the equivariant series specialized at p_1 = 1, p_k = 0 against the
   non-equivariant closed form, and that closed form against the piecewise
   integer formula;
-* the integer formula against Bini's long and compact double-sum formulas,
-  and the double sum against its factorial-ratio closed form;
+* the integer formula against Bini's long bracketed formula, the
+  independent oracle, and against his compact formula, which is a rescaling
+  of the signed double sum; and that double sum against its factorial-ratio
+  closed form;
 * the assembled series against the residue-class tables for the low-degree
   mixed coefficients, and its constant term against 1;
 * the totient divisor-sum identities;
@@ -17,7 +19,8 @@ in exact arithmetic, so every comparison is at zero tolerance:
   conversions against each other.
 
 The functions are pure and parameterized by their ranges; the command-line
-``verify`` subcommand and the test suite both drive them.
+``verify`` subcommand and the acceptance tests both drive them, so each
+check has one definition.
 """
 
 from __future__ import annotations

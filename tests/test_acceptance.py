@@ -1,140 +1,73 @@
 """End-to-end cross-validation at full ranges, all at zero tolerance.
 
-Each test prints one PASS line on success (run with ``pytest -s`` to see
-them); any mismatch fails the assertion with the offending coordinates.
+Each test runs one ``verify.check_*`` at the acceptance range, so the check
+has one definition shared with ``hypeuler verify``.  It asserts that the
+check passed and that its detail names the whole range, so no range can
+narrow silently.  Each prints one PASS line on success (run with
+``pytest -s`` to see them); any mismatch fails with the offending
+coordinates.
 """
 
 import time
-from fractions import Fraction
-from math import factorial
 
-from hypeuler.bini_oracle import (
-    bini_chi_compact,
-    bini_chi_long,
-    bini_double_sum,
-    bini_double_sum_closed_form,
+from hypeuler.verify import (
+    check_algebra,
+    check_bini_agreement,
+    check_closed_forms,
+    check_constant_term,
+    check_double_sum_identity,
+    check_low_degree_tables,
+    check_schur_integrality,
+    check_specialization,
+    check_totient_identities,
 )
-from hypeuler.exact_arith import verify_phi_identities
-from hypeuler.hyperelliptic_core import (
-    chi_pointed,
-    equivariant_series,
-    low_degree_coefficient,
-    nonequivariant_series,
-    symmetry_classes,
-)
-from hypeuler.schur_transform import p_to_schur, schur_dimension_sum
-from hypeuler.symfunc_series import PSMonomial, PSPolynomial, specialize_p1
-from hypeuler.verify import check_algebra
 
 
-def _report(name: str, detail: str, started: float) -> None:
-    print(f"PASS {name}: {detail} [{time.time() - started:.2f}s]")
+def _accept(check, args: tuple, expected_detail: str) -> None:
+    started = time.time()
+    result = check(*args)
+    assert result.passed, result.detail
+    assert result.detail == expected_detail
+    elapsed = time.time() - started
+    print(f"PASS {result.name}: {result.detail} [{elapsed:.2f}s]")
 
 
 def test_specialization_matches_nonequivariant_series():
-    started = time.time()
-    for g in range(2, 13):
-        n_max = 2 * g + 4
-        got = specialize_p1(equivariant_series(g, n_max))
-        want = nonequivariant_series(g, n_max)
-        assert got == want, f"specialization mismatch at g={g}"
-    _report("specialization", "g=2..12, degrees 0..2g+4, exact", started)
+    _accept(check_specialization, (2, 12), "g=2..12, degrees 0..2g+4")
 
 
 def test_closed_form_chi_values():
-    started = time.time()
-    for g in range(2, 13):
-        series = nonequivariant_series(g, 2 * g + 6)
-        pinned = [1, 2, 2, 0, -2 * g, 0]
-        for n in range(2 * g + 7):
-            chi = chi_pointed(g, n)
-            assert factorial(n) * series[n] == chi, (g, n)
-            if n < 6:
-                assert chi == pinned[n], (g, n)
-    _report("closed-forms", "g=2..12, n=0..2g+6, pinned small values", started)
+    _accept(check_closed_forms, (2, 12), "g=2..12, n=0..2g+6")
 
 
 def test_bini_oracle_agreement():
-    started = time.time()
-    for g in range(2, 13):
-        for n in range(5, 2 * g + 3):
-            compact = bini_chi_compact(g, n)
-            long_form = bini_chi_long(g, n)
-            chi = chi_pointed(g, n)
-            assert compact == long_form == chi, (g, n)
-            assert compact.denominator == 1, (g, n)
-    _report("bini-oracle", "g=2..12, n=5..2g+2, integral", started)
+    _accept(check_bini_agreement, (2, 12), "g=2..12, n=5..2g+2")
 
 
 def test_double_sum_identity():
-    started = time.time()
-    for g in range(2, 11):
-        for n in range(31):
-            assert bini_double_sum(g, n) == bini_double_sum_closed_form(
-                g, n
-            ), (g, n)
-    _report("double-sum-identity", "g=2..10, n=0..30", started)
+    _accept(check_double_sum_identity, (2, 10, 30), "g=2..10, n=0..30")
 
 
 def test_low_degree_residue_tables():
-    started = time.time()
-    monomials = [
-        PSMonomial(e)
-        for e in [
-            ((2, 1),),
-            ((1, 1), (2, 1)),
-            ((1, 2), (2, 1)),
-            ((2, 2),),
-            ((3, 1),),
-            ((1, 1), (3, 1)),
-            ((4, 1),),
-        ]
-    ]
-    p2, p4 = monomials[0], monomials[6]
-    p2_expected = (Fraction(0), Fraction(1))
-    p4_expected = (Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(0))
-    for g in range(2, 51):
-        series = equivariant_series(g, 4)
-        for mono in monomials:
-            got = series.coeffs[mono.weight].coefficient(mono)
-            assert got == low_degree_coefficient(g, mono), (g, str(mono))
-        assert series.coeffs[2].coefficient(p2) == p2_expected[g % 2], g
-        assert series.coeffs[4].coefficient(p4) == p4_expected[g % 4], g
-    _report(
-        "low-degree-tables", "g=2..50, seven monomials + residues", started
-    )
+    _accept(check_low_degree_tables, (2, 50), "g=2..50")
 
 
 def test_constant_term_unity():
-    started = time.time()
-    for g in range(2, 201):
-        assert sum(t.coefficient for t in symmetry_classes(g)) == 1, g
-        assert equivariant_series(g, 0).coeffs[0] == PSPolynomial.one(), g
-    _report("constant-term", "g=2..200", started)
+    _accept(check_constant_term, (2, 200), "g=2..200")
 
 
 def test_totient_identities():
-    started = time.time()
-    for n in range(1, 10_001):
-        assert verify_phi_identities(n), n
-    _report("totient-identities", "n=1..10000", started)
+    _accept(check_totient_identities, (10_000,), "n=1..10000")
 
 
 def test_schur_integrality_and_dimension():
-    started = time.time()
-    for g in range(2, 6):
-        series = equivariant_series(g, 10)
-        for n in range(11):
-            vec = p_to_schur(series.coeffs[n], n)
-            assert vec.is_integer_valued(), (g, n)
-            assert schur_dimension_sum(vec) == chi_pointed(g, n), (g, n)
-    _report(
-        "schur-integrality", "g=2..5, n=0..10, integral + dimension", started
-    )
+    _accept(check_schur_integrality, (2, 5, 10), "g=2..5, n=0..10")
 
 
 def test_symmetric_function_algebra_properties():
-    started = time.time()
-    result = check_algebra(seed=7, samples=200)
-    assert result.passed, result.detail
-    _report("algebra", result.detail, started)
+    _accept(
+        check_algebra,
+        (7, 200),
+        "inverse pairs, ring axioms (200 samples), "
+        "orthogonality n<=8, round trip n<=7",
+    )

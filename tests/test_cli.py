@@ -352,6 +352,22 @@ class TestEulerCommand:
         ]
 
 
+VERIFY_ROUNDTRIP_OUTPUT = (
+    "PASS specialization: g=2..4, degrees 0..8\n"
+    "PASS closed-forms: g=2..4, n=0..8\n"
+    "PASS bini-oracle: g=2..4, n=5..2g+2\n"
+    "PASS double-sum-identity: g=2..4, n=0..30\n"
+    "PASS low-degree-tables: g=2..4\n"
+    "PASS constant-term: g=2..4\n"
+    "PASS totient-identities: n=1..10000\n"
+    "PASS schur-integrality: g=2..4, n=0..8\n"
+    "PASS algebra: inverse pairs, ring axioms (150 samples), "
+    "orthogonality n<=8, round trip n<=7\n"
+    "PASS basis-roundtrip: g=2..4, n=0..8\n"
+    "10/10 checks passed\n"
+)
+
+
 class TestVerifyCommand:
     def test_small_battery_passes(self, capsys):
         code, out, _ = run_capture(
@@ -391,6 +407,21 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "PASS basis-roundtrip" in out
+
+    def test_roundtrip_output_is_exact(self, capsys):
+        code, out, _ = run_capture(
+            capsys,
+            [
+                "verify",
+                "--genus-range",
+                "2..4",
+                "--max-points",
+                "8",
+                "--roundtrip",
+            ],
+        )
+        assert code == 0
+        assert out == VERIFY_ROUNDTRIP_OUTPUT
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -17,7 +17,12 @@ from hypeuler.hyperelliptic_core import (
     symmetry_classes,
     unordered_config_euler,
 )
-from hypeuler.schur_transform import Partition, SchurVector, schur_dimension_sum
+from hypeuler.schur_transform import (
+    Partition,
+    SchurVector,
+    schur_dimension_sum,
+    sign_twist,
+)
 from hypeuler.symfunc_series import PSMonomial, PSPolynomial, specialize_p1
 from oracles import reference_equivariant_series
 
@@ -144,6 +149,13 @@ class TestEquivariantSeries:
         for g in (2, 3, 5):
             assert equivariant_series(g, 8).is_weight_graded()
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 40))
+    @example(2, 0)
+    @example(60, 40)
+    def test_weight_graded_property(self, g, order):
+        assert equivariant_series(g, order).is_weight_graded()
+
     def test_each_class_term_weight_graded(self):
         from hypeuler.symfunc_series import product_of_factors
 
@@ -255,6 +267,17 @@ class TestEquivariantSchur:
         vec = equivariant_schur(g, n)
         assert vec.is_integer_valued()
         assert schur_dimension_sum(vec) == chi_pointed(g, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 14))
+    @example(2, 0)
+    @example(60, 14)
+    def test_sign_twist_involution_keeps_dimension(self, g, n):
+        # f^lambda = f^(lambda conjugate), so the twist keeps the dimension.
+        vec = equivariant_schur(g, n)
+        twisted = sign_twist(vec)
+        assert sign_twist(twisted) == vec
+        assert schur_dimension_sum(twisted) == schur_dimension_sum(vec)
 
 
 class TestLowDegreeCoefficient:
