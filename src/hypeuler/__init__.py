@@ -28,11 +28,6 @@ from .symfunc_series import (
     PSMonomial,
     PSPolynomial,
     TSeries,
-    binomial_factor,
-    linear_combine,
-    product_of_factors,
-    ps_mul,
-    series_mul,
     specialize_p1,
     sum_of_products,
 )
@@ -82,12 +77,7 @@ __all__ = [
     "PSMonomial",
     "PSPolynomial",
     "TSeries",
-    "ps_mul",
-    "series_mul",
-    "binomial_factor",
-    "product_of_factors",
     "sum_of_products",
-    "linear_combine",
     "specialize_p1",
     "Partition",
     "SchurVector",

@@ -28,7 +28,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process cannot grow it without limit; 2^14
+# entries hold every argument of ``verify --totient-limit 10000``.
+@lru_cache(maxsize=1 << 14)
 def euler_phi(n: int) -> int:
     """Euler's totient: the number of integers in [1, n] coprime to n.
 

@@ -98,10 +98,10 @@ class Partition:
         """The transposed Young diagram."""
         if not self.parts:
             return self
-        cols = [
+        cols = tuple(
             sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
-        ]
-        return Partition(cols)
+        )
+        return Partition._trusted(cols)
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"

@@ -16,17 +16,13 @@ sum k*j_k <= N, each met once with coefficient prod C(m_k, j_k).  Weights
 are scaled to their common denominator, coefficients are summed as
 integers, and monomials and fractions are built once at the end.  In such a
 series the t^n coefficient is homogeneous of weight n.
-
-``ps_mul`` and ``series_mul`` are general products for that algebra; they
-discard t-degrees above the truncation order and monomials of weight above
-it, which for weight-graded operands loses nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .exact_arith import Rational, gen_binomial
 
@@ -34,12 +30,7 @@ __all__ = [
     "PSMonomial",
     "PSPolynomial",
     "TSeries",
-    "ps_mul",
-    "series_mul",
-    "binomial_factor",
-    "product_of_factors",
     "sum_of_products",
-    "linear_combine",
     "specialize_p1",
 ]
 
@@ -85,36 +76,6 @@ class PSMonomial:
     def __setattr__(self, name, value):
         raise AttributeError("PSMonomial is immutable")
 
-    @classmethod
-    def gen(cls, k: int, e: int = 1) -> "PSMonomial":
-        """The monomial p_k^e."""
-        return cls(((k, e),))
-
-    def __mul__(self, other: "PSMonomial") -> "PSMonomial":
-        a, b = self.exps, other.exps
-        if not a:
-            return other
-        if not b:
-            return self
-        merged: list[tuple[int, int]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ka, ea = a[i]
-            kb, eb = b[j]
-            if ka < kb:
-                merged.append((ka, ea))
-                i += 1
-            elif kb < ka:
-                merged.append((kb, eb))
-                j += 1
-            else:
-                merged.append((ka, ea + eb))
-                i += 1
-                j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
-        return PSMonomial(merged)
-
     def is_pure_p1(self) -> bool:
         """True if the monomial is a power of p_1 (or the unit)."""
         return not self.exps or (len(self.exps) == 1 and self.exps[0][0] == 1)
@@ -124,9 +85,6 @@ class PSMonomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "PSMonomial") -> bool:
-        return self.exps < other.exps
 
     def __repr__(self) -> str:
         return f"PSMonomial({self.exps!r})"
@@ -139,14 +97,11 @@ class PSMonomial:
         )
 
 
-_UNIT = PSMonomial()
-
-
 class PSPolynomial:
     """A finite Q-linear combination of power-sum monomials.
 
     Zero coefficients are never stored; the zero polynomial has no terms.
-    Instances are treated as immutable: all operations return new values.
+    Instances are immutable.
     """
 
     __slots__ = ("terms",)
@@ -166,53 +121,11 @@ class PSPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("PSPolynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> "PSPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PSPolynomial":
-        return cls({_UNIT: Fraction(1)})
-
-    @classmethod
-    def constant(cls, c: Rational) -> "PSPolynomial":
-        return cls({_UNIT: Fraction(c)})
-
-    @classmethod
-    def gen(cls, k: int, e: int = 1) -> "PSPolynomial":
-        """The polynomial p_k^e."""
-        return cls({PSMonomial.gen(k, e): Fraction(1)})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PSPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "PSPolynomial") -> "PSPolynomial":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return PSPolynomial(out)
-
-    def __neg__(self) -> "PSPolynomial":
-        return PSPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "PSPolynomial") -> "PSPolynomial":
-        return self + (-other)
-
-    def scaled(self, c: Rational) -> "PSPolynomial":
-        c = Fraction(c)
-        if not c:
-            return PSPolynomial()
-        return PSPolynomial({m: c * v for m, v in self.terms.items()})
 
     def coefficient(self, mono: PSMonomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
@@ -233,7 +146,7 @@ class PSPolynomial:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
-            if mono is _UNIT or not mono.exps:
+            if not mono.exps:
                 parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(str(mono))
@@ -247,43 +160,12 @@ class PSPolynomial:
         return out
 
 
-def _mul_into(
-    out: dict[PSMonomial, Fraction],
-    terms_a: Iterable[tuple[PSMonomial, Fraction]],
-    terms_b: Iterable[tuple[PSMonomial, Fraction]],
-    weight_cap: int,
-) -> None:
-    # Add the product of two term collections into out, dropping monomials
-    # of weight > weight_cap and entries that cancel to zero.  terms_b is
-    # iterated once per term of terms_a.
-    for ma, ca in terms_a:
-        wa = ma.weight
-        for mb, cb in terms_b:
-            if wa + mb.weight > weight_cap:
-                continue
-            m = ma * mb
-            new = out.get(m, 0) + ca * cb
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
-
-
-def ps_mul(a: PSPolynomial, b: PSPolynomial, weight_cap: int) -> PSPolynomial:
-    """Product of two polynomials, dropping monomials of weight > weight_cap."""
-    if weight_cap < 0:
-        raise ValueError(f"weight_cap must be >= 0, got {weight_cap}")
-    out: dict[PSMonomial, Fraction] = {}
-    _mul_into(out, a.terms.items(), b.terms.items(), weight_cap)
-    return PSPolynomial(out)
-
-
 class TSeries:
     """A power series in t truncated at a fixed order N.
 
     ``coeffs[n]`` is the PSPolynomial coefficient of t^n, for n = 0..N.
     Series produced by the moduli pipeline are weight-graded (the t^n
-    coefficient is homogeneous of weight n); arithmetic preserves that.
+    coefficient is homogeneous of weight n).
     """
 
     __slots__ = ("order", "coeffs")
@@ -305,17 +187,6 @@ class TSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
 
-    @classmethod
-    def zero(cls, order: int) -> "TSeries":
-        return cls(order, [PSPolynomial.zero()] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TSeries":
-        return cls(
-            order,
-            [PSPolynomial.one()] + [PSPolynomial.zero()] * order,
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TSeries)
@@ -323,89 +194,14 @@ class TSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "TSeries") -> "TSeries":
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation orders differ: {self.order} != {other.order}"
-            )
-        return TSeries(
-            self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __mul__(self, other: "TSeries") -> "TSeries":
-        return series_mul(self, other)
-
-    def scaled(self, c: Rational) -> "TSeries":
-        return TSeries(self.order, [p.scaled(c) for p in self.coeffs])
-
     def is_weight_graded(self) -> bool:
         """True if the t^n coefficient is homogeneous of weight n for all n."""
         return all(
             poly.is_homogeneous(n) for n, poly in enumerate(self.coeffs)
         )
 
-    def __iter__(self) -> Iterator[PSPolynomial]:
-        return iter(self.coeffs)
-
     def __repr__(self) -> str:
         return f"TSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-
-def series_mul(a: TSeries, b: TSeries) -> TSeries:
-    """Cauchy product truncated at the shared order.
-
-    Monomials of weight above the truncation order are dropped during
-    accumulation; for weight-graded operands (the only kind the pipeline
-    produces) this loses nothing.
-    """
-    if a.order != b.order:
-        raise ValueError(f"truncation orders differ: {a.order} != {b.order}")
-    n_max = a.order
-    buckets: list[dict[PSMonomial, Fraction]] = [{} for _ in range(n_max + 1)]
-    for i, pa in enumerate(a.coeffs):
-        if not pa:
-            continue
-        for j in range(n_max - i + 1):
-            pb = b.coeffs[j]
-            if pb:
-                _mul_into(
-                    buckets[i + j], pa.terms.items(), pb.terms.items(), n_max
-                )
-    return TSeries(n_max, [PSPolynomial(bk) for bk in buckets])
-
-
-def binomial_factor(k: int, m: int, order: int) -> TSeries:
-    """The expansion of (1 + p_k t^k)^m truncated at the given order.
-
-    The exponent m may be any integer; the t^(k*j) coefficient is
-    C(m, j) * p_k^j.  A factor with k > order contributes only its
-    constant term 1.
-    """
-    if k < 1:
-        raise ValueError(f"generator index must be >= 1, got {k}")
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
-    coeffs = [PSPolynomial.zero() for _ in range(order + 1)]
-    for j in range(order // k + 1):
-        c = gen_binomial(m, j)
-        if c == 0:
-            continue
-        if j == 0:
-            coeffs[0] = PSPolynomial.one()
-        else:
-            coeffs[k * j] = PSPolynomial({PSMonomial.gen(k, j): Fraction(c)})
-    return TSeries(order, coeffs)
-
-
-def product_of_factors(
-    factors: Iterable[tuple[int, int]], order: int
-) -> TSeries:
-    """Truncated product of binomial factors (1 + p_k t^k)^m.
-
-    The empty product is the unit series.
-    """
-    return sum_of_products([(1, factors)], order)
 
 
 def _merged_generators(
@@ -483,32 +279,6 @@ def sum_of_products(
             for w, bucket in enumerate(sums)
         ],
     )
-
-
-def linear_combine(terms: Iterable[tuple[Rational, TSeries]]) -> TSeries:
-    """Exact weighted sum of series sharing one truncation order."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    order = terms[0][1].order
-    buckets: list[dict[PSMonomial, Fraction]] = [{} for _ in range(order + 1)]
-    for coeff, series in terms:
-        if series.order != order:
-            raise ValueError(
-                f"truncation orders differ: {series.order} != {order}"
-            )
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        for n, poly in enumerate(series.coeffs):
-            bucket = buckets[n]
-            for mono, c in poly.terms.items():
-                new = bucket.get(mono, 0) + coeff * c
-                if new:
-                    bucket[mono] = new
-                else:
-                    bucket.pop(mono, None)
-    return TSeries(order, [PSPolynomial(bk) for bk in buckets])
 
 
 def specialize_p1(series: TSeries) -> list[Fraction]:

@@ -3,10 +3,10 @@
 Everything here is deliberately implemented by a different route than the
 library: dense multivariate polynomials instead of sparse power-sum maps,
 alternant coefficient extraction instead of border-strip recursion, plain
-counting instead of closed forms.  The ``reference_*`` functions keep the
-library's earlier term-by-term kernels (series products one factor at a
-time, Schur conversion one Fraction multiply-add per character) to pin the
-integer kernels that replaced them.
+counting instead of closed forms.  The ``reference_*`` functions compute
+term by term what the library's integer kernels compute in one pass (series
+products one factor at a time, Schur conversion one Fraction multiply-add
+per character) to pin those kernels.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from hypeuler.schur_transform import (
     p_monomial_cycle_type,
     partitions_of,
 )
-from hypeuler.symfunc_series import (
-    PSMonomial,
-    PSPolynomial,
-    TSeries,
-    binomial_factor,
-    linear_combine,
-    series_mul,
-)
+from hypeuler.symfunc_series import PSMonomial, PSPolynomial, TSeries
 
 # ---------------------------------------------------------------------------
 # number theory
@@ -111,22 +104,8 @@ def character_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# power-sum polynomial product by multiset concatenation
-
-
-def naive_ps_mul(a: PSPolynomial, b: PSPolynomial) -> PSPolynomial:
-    out: dict[PSMonomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        bag_a = Counter(dict(ma.exps))
-        for mb, cb in b.terms.items():
-            bag = bag_a + Counter(dict(mb.exps))
-            mono = PSMonomial(sorted(bag.items()))
-            val = out.get(mono, Fraction(0)) + ca * cb
-            if val:
-                out[mono] = val
-            else:
-                out.pop(mono, None)
-    return PSPolynomial(out)
+# series as lists of {exponent tuple: coefficient} dicts, one per t-degree,
+# multiplied as exponent multisets
 
 
 def cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -137,23 +116,77 @@ def cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# the equivariant series by one truncated series product per factor
+def _series_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    # Truncated Cauchy product of two series of the same order.
+    order = len(a) - 1
+    out: list[dict] = [{} for _ in range(order + 1)]
+    for i, pa in enumerate(a):
+        for j in range(order + 1 - i):
+            bucket = out[i + j]
+            for ea, ca in pa.items():
+                for eb, cb in b[j].items():
+                    bag = Counter(dict(ea)) + Counter(dict(eb))
+                    key = tuple(sorted(bag.items()))
+                    bucket[key] = bucket.get(key, 0) + ca * cb
+    return out
+
+
+def _binomial_series(k: int, m: int, order: int) -> list[dict]:
+    # (1 + p_k t^k)^m, with C(m, j) = C(m, j-1) * (m-j+1) / j.
+    series: list[dict] = [{(): 1}] + [{} for _ in range(order)]
+    c = 1
+    for j in range(1, order // k + 1):
+        c = c * (m - j + 1) // j
+        if c:
+            series[k * j] = {((k, j),): c}
+    return series
+
+
+def _dicts(series: TSeries) -> list[dict]:
+    return [
+        {mono.exps: c for mono, c in poly.terms.items()}
+        for poly in series.coeffs
+    ]
+
+
+def _tseries(series: list[dict]) -> TSeries:
+    return TSeries(
+        len(series) - 1,
+        [
+            PSPolynomial({PSMonomial(exps): c for exps, c in bucket.items()})
+            for bucket in series
+        ],
+    )
+
+
+def reference_series_mul(a: TSeries, b: TSeries) -> TSeries:
+    """The truncated product of two series of the same order."""
+    return _tseries(_series_mul(_dicts(a), _dicts(b)))
+
+
+def reference_sum_of_products(terms, order: int) -> TSeries:
+    """sum w * prod (1 + p_k t^k)^m, one binomial series at a time."""
+    total: list[dict] = [{} for _ in range(order + 1)]
+    for weight, factors in terms:
+        product: list[dict] = [{(): 1}] + [{} for _ in range(order)]
+        for k, m in factors:
+            product = _series_mul(product, _binomial_series(k, m, order))
+        for bucket, part in zip(total, product):
+            for exps, c in part.items():
+                bucket[exps] = bucket.get(exps, 0) + weight * c
+    return _tseries(total)
 
 
 def reference_product(factors, order: int) -> TSeries:
     """prod (1 + p_k t^k)^m, multiplying in one binomial series at a time."""
-    result = TSeries.one(order)
-    for k, m in factors:
-        result = series_mul(result, binomial_factor(k, m, order))
-    return result
+    return reference_sum_of_products([(1, factors)], order)
 
 
 def reference_equivariant_series(g: int, order: int) -> TSeries:
     """The class-weighted sum of per-class products, combined as series."""
-    return linear_combine(
-        (term.coefficient, reference_product(term.factors, order))
-        for term in symmetry_classes(g)
+    return reference_sum_of_products(
+        ((term.coefficient, term.factors) for term in symmetry_classes(g)),
+        order,
     )
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 import hypeuler.verify as verify
-from hypeuler.symfunc_series import PSMonomial
+from hypeuler.symfunc_series import PSMonomial, PSPolynomial, TSeries
 from hypeuler.verify import (
     check_algebra,
     check_basis_roundtrip,
@@ -77,6 +77,21 @@ def _bump_series_at(func, point):
     return bumped
 
 
+def _bump_product_at(func, point):
+    # sum_of_products with its t^0 coefficient raised by one on the calls
+    # where point(terms, order) holds.
+    def bumped(terms, order):
+        terms = list(terms)
+        series = func(terms, order)
+        if not point(terms, order):
+            return series
+        one = PSMonomial()
+        constant = PSPolynomial({one: series.coeffs[0].coefficient(one) + 1})
+        return TSeries(order, (constant,) + series.coeffs[1:])
+
+    return bumped
+
+
 @pytest.mark.parametrize(
     "target, bump, point, check, expected",
     [
@@ -122,6 +137,30 @@ def _bump_series_at(func, point):
             lambda: verify.check_low_degree_tables(2, 4),
             "g=3, p2: series gives",
         ),
+        (
+            "sum_of_products",
+            _bump_product_at,
+            lambda terms, order: terms == [(1, [(2, -3)])] and order == 7,
+            lambda: verify.check_algebra(),
+            "binomial inverse pair fails: k=2, m=-3, N=7",
+        ),
+        (
+            # Each random factor list has at most three factors, so only
+            # the joined lists F+G are longer.
+            "sum_of_products",
+            _bump_product_at,
+            lambda terms, order: len(terms) == 1 and len(terms[0][1]) > 3,
+            lambda: verify.check_algebra(),
+            "product oracle mismatch: F=[(2, 1), (2, -1)], "
+            "G=[(1, 3), (1, 2)], N=2",
+        ),
+        (
+            "sum_of_products",
+            _bump_product_at,
+            lambda terms, order: len(terms) == 2,
+            lambda: verify.check_algebra(),
+            "linearity fails: a=4, b=1, F=[(1, 0), (3, -3)], G=[], N=4",
+        ),
     ],
     ids=[
         "closed-forms",
@@ -130,6 +169,9 @@ def _bump_series_at(func, point):
         "double-sum-identity",
         "specialization",
         "low-degree-tables",
+        "algebra-inverse-pair",
+        "algebra-product",
+        "algebra-linearity",
     ],
 )
 def test_check_fails_at_broken_coordinate(
@@ -139,3 +181,52 @@ def test_check_fails_at_broken_coordinate(
     result = check()
     assert not result.passed
     assert expected in result.detail
+
+
+@pytest.mark.parametrize(
+    "constant, value, target, check, calls, detail",
+    [
+        (
+            "_SPECIALIZATION_DEPTH",
+            2,
+            "nonequivariant_series",
+            lambda: verify.check_specialization(2, 3),
+            [(2, 6), (3, 8)],
+            "g=2..3, degrees 0..2g+2",
+        ),
+        (
+            "_CLOSED_FORMS_DEPTH",
+            3,
+            "nonequivariant_series",
+            lambda: verify.check_closed_forms(2, 3),
+            [(2, 7), (3, 9)],
+            "g=2..3, n=0..2g+3",
+        ),
+        (
+            "_BINI_RANGE",
+            (6, 1),
+            "bini_chi_long",
+            lambda: verify.check_bini_agreement(2, 3),
+            [(3, 6), (3, 7)],
+            "g=2..3, n=6..2g+1",
+        ),
+    ],
+    ids=["specialization", "closed-forms", "bini-oracle"],
+)
+def test_default_range_follows_one_constant(
+    monkeypatch, constant, value, target, check, calls, detail
+):
+    # A changed default changes both the points the loop visits and the
+    # range text the check reports.
+    seen = []
+    func = getattr(verify, target)
+
+    def spy(*args):
+        seen.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(verify, target, spy)
+    monkeypatch.setattr(verify, constant, value)
+    result = check()
+    assert result.passed and result.detail == detail
+    assert seen == calls
