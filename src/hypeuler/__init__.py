@@ -25,18 +25,18 @@ from .exact_arith import (
     verify_phi_identities,
 )
 from .symfunc_series import (
-    PSMonomial,
     PSPolynomial,
     TSeries,
+    format_monomial,
     specialize_p1,
     sum_of_products,
 )
 from .schur_transform import (
-    Partition,
     SchurVector,
     centralizer_order,
+    conjugate,
+    format_partition,
     mn_character,
-    p_monomial_cycle_type,
     p_to_schur,
     partitions_of,
     schur_dimension_sum,
@@ -74,21 +74,21 @@ __all__ = [
     "divisors",
     "gen_binomial",
     "verify_phi_identities",
-    "PSMonomial",
     "PSPolynomial",
     "TSeries",
     "sum_of_products",
     "specialize_p1",
-    "Partition",
+    "format_monomial",
     "SchurVector",
     "partitions_of",
+    "conjugate",
     "mn_character",
-    "p_monomial_cycle_type",
     "p_to_schur",
     "schur_to_p",
     "schur_dimension_sum",
     "centralizer_order",
     "sign_twist",
+    "format_partition",
     "GenusParams",
     "SymmetryClassTerm",
     "orbifold_euler_char",

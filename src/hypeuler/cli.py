@@ -23,8 +23,8 @@ import sys
 from typing import Sequence
 
 from .hyperelliptic_core import chi_pointed, equivariant_series
-from .schur_transform import p_to_schur, sign_twist
-from .symfunc_series import TSeries
+from .schur_transform import format_partition, p_to_schur, sign_twist
+from .symfunc_series import TSeries, format_monomial
 from .verify import run_battery
 
 __all__ = ["run", "main"]
@@ -110,26 +110,19 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _series_rows(
     series: TSeries, basis: str, twisted: bool
-) -> list[tuple[int, list[tuple[tuple, object, str]]]]:
-    # Per degree n: (n, [(key, term, value string), ...]) in canonical
-    # order.  The term is the PSMonomial or Partition, rendered only for
-    # text and csv; the key is its (k, e) pairs or parts, for JSON.
+) -> list[tuple[int, list[tuple[tuple, str]]]]:
+    # Per degree n: (n, [(key, value string), ...]) in canonical order; the
+    # key is a monomial's (k, e) pairs or a partition's parts.
     rows = []
     for n, poly in enumerate(series.coeffs):
         if basis == "powersum":
-            coeffs = [
-                (mono.exps, mono, str(value))
-                for mono, value in poly.sorted_terms()
-            ]
+            items = poly.sorted_terms()
         else:
             vec = p_to_schur(poly, n)
             if twisted:
                 vec = sign_twist(vec)
-            coeffs = [
-                (lam.parts, lam, str(value))
-                for lam, value in vec.sorted_items()
-            ]
-        rows.append((n, coeffs))
+            items = vec.sorted_items()
+        rows.append((n, [(key, str(value)) for key, value in items]))
     return rows
 
 
@@ -145,31 +138,40 @@ def _json_array(items: Sequence[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + _NL[depth] + "]"
 
 
-def _json_key(key: tuple, depth: int) -> str:
-    return _json_array(
-        [
-            _json_key(x, depth + 1) if isinstance(x, tuple) else str(x)
-            for x in key
-        ],
-        depth,
-    )
+def _json_monomial(key: tuple) -> str:
+    # A list of [k, e] pairs at the depth of a term's key.
+    nl6, nl7 = _NL[6:8]
+    return _json_array([f"[{nl7}{k},{nl7}{e}{nl6}]" for k, e in key], 5)
 
 
-def _series_json(
-    genus: int, max_points: int, basis: str, label: str, rows: list
-) -> str:
+def _json_partition(key: tuple) -> str:
+    # A flat list of parts at the depth of a term's key.
+    return _json_array(list(map(str, key)), 5)
+
+
+# Per basis: the JSON field of a term's key, its JSON and its text form.
+_KEY_FORMATS = {
+    "powersum": ("monomial", _json_monomial, format_monomial),
+    "schur": (
+        "partition", _json_partition, lambda key: "s" + format_partition(key)
+    ),
+}
+
+
+def _series_json(genus: int, max_points: int, basis: str, rows: list) -> str:
     """The series document exactly as json.dumps(doc, indent=2) writes it.
 
     Nothing needs escaping: keys are ints or int pairs, values are p/q
     strings, and the names and the basis are fixed ASCII.
     """
+    label, json_key, _ = _KEY_FORMATS[basis]
     nl1, nl2, nl3, nl4, nl5 = _NL[1:6]
     terms = []
     for n, coeffs in rows:
         entries = [
-            f'{{{nl5}"{label}": {_json_key(key, 5)},'
+            f'{{{nl5}"{label}": {json_key(key)},'
             f'{nl5}"value": "{value}"{nl4}}}'
-            for key, _, value in coeffs
+            for key, value in coeffs
         ]
         terms.append(
             f'{{{nl3}"n": {n},{nl3}"coeffs": {_json_array(entries, 3)}{nl2}}}'
@@ -180,14 +182,13 @@ def _series_json(
     )
 
 
-def _series_lines(rows: list, label: str, fmt: str) -> list[str]:
-    # str(Partition) is "[2,1]"; the Schur basis element is "s[2,1]".
-    prefix = "s" if label == "partition" else ""
+def _series_lines(rows: list, basis: str, fmt: str) -> list[str]:
+    label, _, text_key = _KEY_FORMATS[basis]
     if fmt == "csv":
         return [f"n,{label},value"] + [
-            f"{n},{prefix}{term},{value}"
+            f"{n},{text_key(key)},{value}"
             for n, coeffs in rows
-            for _, term, value in coeffs
+            for key, value in coeffs
         ]
     lines = []
     for n, coeffs in rows:
@@ -195,8 +196,8 @@ def _series_lines(rows: list, label: str, fmt: str) -> list[str]:
             lines.append(f"t^{n}: 0")
             continue
         parts = []
-        for _, term, value in coeffs:
-            text = f"{prefix}{term}"
+        for key, value in coeffs:
+            text = text_key(key)
             if text == "1":
                 parts.append(value)
             elif value == "1":
@@ -216,13 +217,10 @@ def _emit_series(args: argparse.Namespace) -> int:
     series = equivariant_series(args.genus, args.max_points)
     twisted = args.schur_convention == "sign-twisted"
     rows = _series_rows(series, args.basis, twisted)
-    label = "monomial" if args.basis == "powersum" else "partition"
     if args.format == "json":
-        out = _series_json(
-            args.genus, args.max_points, args.basis, label, rows
-        )
+        out = _series_json(args.genus, args.max_points, args.basis, rows)
     else:
-        out = "\n".join(_series_lines(rows, label, args.format))
+        out = "\n".join(_series_lines(rows, args.basis, args.format))
     sys.stdout.write(out + "\n")
     return 0
 

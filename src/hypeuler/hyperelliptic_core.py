@@ -37,7 +37,7 @@ from math import factorial
 
 from .exact_arith import divisors, euler_phi, gen_binomial
 from .schur_transform import SchurVector, p_to_schur
-from .symfunc_series import PSMonomial, TSeries, sum_of_products
+from .symfunc_series import Monomial, TSeries, format_monomial, sum_of_products
 
 __all__ = [
     "GenusParams",
@@ -325,7 +325,7 @@ def _indicator(g: int, k: int, r: int) -> int:
     return 1 if g % k == r % k else 0
 
 
-def low_degree_coefficient(g: int, monomial: PSMonomial) -> Fraction:
+def low_degree_coefficient(g: int, monomial: Monomial) -> Fraction:
     """Closed residue-class formulas for weight <= 4 mixed coefficients.
 
     Gives the coefficient of the monomial in the t^weight term of the
@@ -335,20 +335,19 @@ def low_degree_coefficient(g: int, monomial: PSMonomial) -> Fraction:
     GenusParams(g)
     m2_0 = _indicator(g, 2, 0)
     m2_1 = _indicator(g, 2, 1)
-    key = monomial.exps
-    if key == ((2, 1),):
+    if monomial == ((2, 1),):
         return Fraction(1 - m2_0 + m2_1, 2)
-    if key == ((1, 1), (2, 1)):
+    if monomial == ((1, 1), (2, 1)):
         return Fraction(1 - m2_0 + m2_1)
-    if key == ((1, 2), (2, 1)):
+    if monomial == ((1, 2), (2, 1)):
         return Fraction(1, 2) - Fraction(m2_0, 2) + m2_1
-    if key == ((2, 2),):
+    if monomial == ((2, 2),):
         return Fraction(-m2_1, 4)
-    if key == ((3, 1),):
+    if monomial == ((3, 1),):
         return Fraction(0)
-    if key == ((1, 1), (3, 1)):
+    if monomial == ((1, 1), (3, 1)):
         return Fraction(2, 3) * (_indicator(g, 3, 2) - _indicator(g, 3, 1))
-    if key == ((4, 1),):
+    if monomial == ((4, 1),):
         value = (
             Fraction(_indicator(g, 4, 3), 4)
             - Fraction(_indicator(g, 4, 1), 4)
@@ -357,4 +356,6 @@ def low_degree_coefficient(g: int, monomial: PSMonomial) -> Fraction:
         if m2_0:
             value += Fraction((-1) ** ((1 - g // 2) % 2), 4)
         return value
-    raise ValueError(f"no closed form for monomial {monomial}")
+    raise ValueError(
+        f"no closed form for monomial {format_monomial(monomial)}"
+    )

@@ -11,6 +11,13 @@ characters are computed by the Murnaghan-Nakayama border-strip recursion,
 implemented on beta-sets (first-column hook lengths) and memoized on
 part tuples.
 
+A partition is the plain tuple of its parts, largest first: (2, 1, 1),
+rendered "[2,1,1]" by ``format_partition``; () is the empty partition.  It
+keys a ``SchurVector``, whose constructor checks its keys, as do
+``mn_character`` and ``centralizer_order`` with their arguments.  A p_mu
+keeps its (k, e) key from ``symfunc_series``; ``_cycle_parts`` and
+``_multiplicities`` convert between the two forms in this one module.
+
 The inverse expansion s_lambda = sum_mu chi^lambda(mu)/z_mu p_mu, with z_mu
 the centralizer order of the cycle type, is provided for round-trip checks.
 
@@ -26,99 +33,61 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import factorial, lcm
-from operator import mul
-from typing import Collection, Iterable, Mapping
+from operator import itemgetter, mul
+from typing import Collection, Mapping
 
 from .exact_arith import Rational
-from .symfunc_series import PSMonomial, PSPolynomial
+from .symfunc_series import Monomial, PSPolynomial, format_monomial
 
 __all__ = [
-    "Partition",
     "SchurVector",
     "partitions_of",
+    "conjugate",
     "mn_character",
-    "p_monomial_cycle_type",
     "p_to_schur",
     "schur_to_p",
     "schur_dimension_sum",
     "centralizer_order",
     "sign_twist",
+    "format_partition",
 ]
 
-
-class Partition:
-    """An integer partition: a non-increasing tuple of positive parts.
-
-    The canonical form stores no trailing zeros, so equality is structural.
-    The empty partition (of 0) is ``Partition(())``.
-    """
-
-    __slots__ = ("parts", "_hash")
-
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(parts)
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive: {parts}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be non-increasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash(parts))
-
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        # For part tuples generated positive and non-increasing.
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
-        object.__setattr__(lam, "_hash", hash(parts))
-        return lam
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def conjugate(self) -> "Partition":
-        """The transposed Young diagram."""
-        if not self.parts:
-            return self
-        cols = tuple(
-            sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
-        )
-        return Partition._trusted(cols)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)!r})"
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+# A partition, see the module docstring.
+Parts = tuple[int, ...]
 
 
-def partitions_of(n: int) -> list[Partition]:
+def format_partition(lam: Parts) -> str:
+    """The text form of a partition key, e.g. "[2,1]"; () is "[]"."""
+    return "[" + ",".join(map(str, lam)) + "]"
+
+
+def _check_partition(lam: Parts, n: int) -> None:
+    # A key or argument from outside: positive parts, largest first, sum n.
+    if lam != tuple(sorted(lam, reverse=True)) or (lam and lam[-1] < 1):
+        raise ValueError(f"not a partition: {lam!r}")
+    if sum(lam) != n:
+        raise ValueError(f"{format_partition(lam)} is not a partition of {n}")
+
+
+def conjugate(lam: Parts) -> Parts:
+    """The transposed Young diagram of a partition; lam is not checked."""
+    # Bottom row first: the columns row i (1-based) has beyond row i + 1
+    # hold i boxes each.
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        cols += [i] * (lam[i - 1] - len(cols))
+    return tuple(cols)
+
+
+def partitions_of(n: int) -> list[Parts]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
         raise ValueError(f"partitions_of requires n >= 0, got {n}")
-    out: list[Partition] = []
+    out: list[Parts] = []
 
     def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition._trusted(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for first in range(min(max_part, remaining), 0, -1):
             prefix.append(first)
@@ -162,26 +131,24 @@ def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def mn_character(lam: Partition, mu: Partition) -> int:
+def mn_character(lam: Parts, mu: Parts) -> int:
     """Irreducible character chi^lam evaluated on cycle type mu.
 
     Both partitions must have the same size.  Computed by removing border
     strips of each part length of mu in turn; removing a strip of length k
     is a move b -> b - k in the beta-set, with sign (-1)^(rows crossed - 1).
     """
-    if lam.size != mu.size:
-        raise ValueError(
-            f"partition sizes differ: |{lam}| = {lam.size}, |{mu}| = {mu.size}"
-        )
-    return _mn(lam.parts, mu.parts)
+    _check_partition(mu, sum(mu))
+    _check_partition(lam, sum(mu))
+    return _mn(lam, mu)
 
 
-def _cycle_parts(exps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    # The parts of p_k^e_k..., largest first as in Partition.parts.
+def _cycle_parts(exps: Monomial) -> Parts:
+    # The cycle type of p_k^e_k...: e_k parts equal to k, largest first.
     return tuple(k for k, e in reversed(exps) for _ in range(e))
 
 
-def _multiplicities(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _multiplicities(parts: Parts) -> Monomial:
     # (part, multiplicity) pairs by ascending part: the exponents of p_mu.
     mult: dict[int, int] = {}
     for p in parts:
@@ -189,7 +156,7 @@ def _multiplicities(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(mult.items()))
 
 
-def _centralizer(exps: tuple[tuple[int, int], ...]) -> int:
+def _centralizer(exps: Monomial) -> int:
     z = 1
     for k, e in exps:
         z *= k**e * factorial(e)
@@ -205,41 +172,45 @@ def _common_denominator(
     return [c.numerator * (denom // c.denominator) for c in coeffs], denom
 
 
-def p_monomial_cycle_type(mono: PSMonomial) -> Partition:
-    """The cycle type with e_k parts equal to k for each factor p_k^e_k."""
-    return Partition(_cycle_parts(mono.exps))
-
-
-def centralizer_order(mu: Partition) -> int:
+def centralizer_order(mu: Parts) -> int:
     """z_mu = prod_k k^(e_k) e_k! over the distinct part sizes of mu."""
-    return _centralizer(_multiplicities(mu.parts))
+    _check_partition(mu, sum(mu))
+    return _centralizer(_multiplicities(mu))
 
 
 class SchurVector:
     """A finite rational combination of Schur functions of one degree n.
 
-    For outputs of the moduli pipeline every coefficient is an integer (a
-    virtual multiplicity); that is asserted by the verification battery,
-    not by this container.
+    ``coeffs`` maps partitions of n to nonzero Fractions.  For outputs of
+    the moduli pipeline every coefficient is an integer (a virtual
+    multiplicity); that is asserted by the verification battery, not by this
+    container.
     """
 
     __slots__ = ("n", "coeffs")
 
     n: int
-    coeffs: dict[Partition, Fraction]
+    coeffs: dict[Parts, Fraction]
 
-    def __init__(self, n: int, coeffs: Mapping[Partition, Rational] | None = None):
-        clean: dict[Partition, Fraction] = {}
+    def __init__(self, n: int, coeffs: Mapping[Parts, Rational] | None = None):
+        clean: dict[Parts, Fraction] = {}
         if coeffs:
             for lam, c in coeffs.items():
-                if lam.size != n:
-                    raise ValueError(f"partition {lam} does not have size {n}")
+                _check_partition(lam, n)
                 if type(c) is not Fraction:
                     c = Fraction(c)
                 if c:
                     clean[lam] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, coeffs: dict[Parts, Fraction]) -> "SchurVector":
+        # For kernel output: partitions of n, nonzero Fraction values.
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "n", n)
+        object.__setattr__(vec, "coeffs", coeffs)
+        return vec
 
     def __setattr__(self, name, value):
         raise AttributeError("SchurVector is immutable")
@@ -254,27 +225,18 @@ class SchurVector:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, lam: Partition) -> Fraction:
+    def coefficient(self, lam: Parts) -> Fraction:
         return self.coeffs.get(lam, Fraction(0))
 
     def is_integer_valued(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def sorted_items(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_items(self) -> list[tuple[Parts, Fraction]]:
         """Coefficients in reverse-lexicographic partition order."""
-        return sorted(
-            self.coeffs.items(), key=lambda kv: kv[0].parts, reverse=True
-        )
+        return sorted(self.coeffs.items(), key=itemgetter(0), reverse=True)
 
     def __repr__(self) -> str:
         return f"SchurVector({self.n}, {dict(self.sorted_items())!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{c}*s{lam}" for lam, c in self.sorted_items()
-        )
 
 
 def p_to_schur(poly: PSPolynomial, n: int) -> SchurVector:
@@ -283,38 +245,39 @@ def p_to_schur(poly: PSPolynomial, n: int) -> SchurVector:
     With poly = sum_mu c_mu p_mu, returns the vector whose lambda entry is
     sum_mu c_mu chi^lambda(mu).
     """
-    for mono in poly.terms:
-        if mono.weight != n:
+    # Distinct monomials have distinct cycle types.
+    mus = [_cycle_parts(mono) for mono in poly.terms]
+    for mono, mu in zip(poly.terms, mus):
+        if sum(mu) != n:
             raise ValueError(
-                f"monomial {mono} has weight {mono.weight}, expected {n}"
+                f"monomial {format_monomial(mono)} has weight {sum(mu)}, "
+                f"expected {n}"
             )
-    # Distinct monomials have distinct cycle types, all of size n.
-    mus = [_cycle_parts(mono.exps) for mono in poly.terms]
     nums, denom = _common_denominator(poly.terms.values())
-    out: dict[Partition, Fraction] = {}
+    out: dict[Parts, Fraction] = {}
     for lam in partitions_of(n):
-        total = sum(map(mul, nums, map(_mn, repeat(lam.parts), mus)))
+        total = sum(map(mul, nums, map(_mn, repeat(lam), mus)))
         if total:
             out[lam] = Fraction(total, denom)
-    return SchurVector(n, out)
+    return SchurVector._trusted(n, out)
 
 
 def schur_to_p(vec: SchurVector) -> PSPolynomial:
     """Inverse expansion: s_lambda = sum_mu chi^lambda(mu)/z_mu * p_mu."""
     n = vec.n
-    lams = [lam.parts for lam in vec.coeffs]
+    lams = list(vec.coeffs)
     nums, denom = _common_denominator(vec.coeffs.values())
     # n!/z_mu is the size of a conjugacy class, an integer.
     n_fact = factorial(n)
-    terms: dict[PSMonomial, Fraction] = {}
+    terms: dict[Monomial, Fraction] = {}
     for mu in partitions_of(n):
-        total = sum(map(mul, nums, map(_mn, lams, repeat(mu.parts))))
+        total = sum(map(mul, nums, map(_mn, lams, repeat(mu))))
         if total:
-            exps = _multiplicities(mu.parts)
-            terms[PSMonomial._trusted(exps, n)] = Fraction(
+            exps = _multiplicities(mu)
+            terms[exps] = Fraction(
                 total * (n_fact // _centralizer(exps)), n_fact * denom
             )
-    return PSPolynomial(terms)
+    return PSPolynomial._trusted(terms)
 
 
 def schur_dimension_sum(vec: SchurVector) -> Fraction:
@@ -326,7 +289,7 @@ def schur_dimension_sum(vec: SchurVector) -> Fraction:
     ones = (1,) * vec.n
     nums, denom = _common_denominator(vec.coeffs.values())
     total = sum(
-        num * _mn(lam.parts, ones) for lam, num in zip(vec.coeffs, nums)
+        num * _mn(lam, ones) for lam, num in zip(vec.coeffs, nums)
     )
     return Fraction(total, denom)
 
@@ -337,6 +300,6 @@ def sign_twist(vec: SchurVector) -> SchurVector:
     Sends each s_lambda to s_(lambda conjugate); equivalently multiplies the
     p_mu coefficients by the sign of the underlying permutations.
     """
-    return SchurVector(
-        vec.n, {lam.conjugate(): c for lam, c in vec.coeffs.items()}
+    return SchurVector._trusted(
+        vec.n, {conjugate(lam): c for lam, c in vec.coeffs.items()}
     )

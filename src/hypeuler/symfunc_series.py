@@ -1,11 +1,13 @@
 """Sparse polynomials in power-sum generators and truncated series over them.
 
 The ambient ring is Q[p_1, p_2, ...], the polynomial ring in the power-sum
-symmetric functions, graded so that p_k has weight k.  A ``PSMonomial`` is a
-product p_{k_1}^{e_1} * ... stored as a sorted sparse exponent map, a
-``PSPolynomial`` maps monomials to rational coefficients, and a ``TSeries``
-is a polynomial in a formal variable t truncated at a fixed order whose t^n
-coefficient is a ``PSPolynomial``.
+symmetric functions, graded so that p_k has weight k.  A monomial
+p_{k_1}^{e_1} * ... is keyed by the plain tuple of its (k, e) pairs in
+ascending k, e.g. ((1, 2), (3, 1)) for p_1^2 * p_3 and () for the unit;
+``format_monomial`` renders it as "p1^2*p3".  A ``PSPolynomial`` maps such
+keys to rational coefficients, checking the keys it is given, and a
+``TSeries`` is a polynomial in a formal variable t truncated at a fixed
+order whose t^n coefficient is a ``PSPolynomial``.
 
 The moduli pipeline needs one operation on these: a rational combination of
 products of binomial factors (1 + p_k t^k)^m, computed by
@@ -14,109 +16,76 @@ Factors sharing a generator merge into one, so the generators of a product
 are distinct and its monomials are exactly the exponent vectors (j_k) with
 sum k*j_k <= N, each met once with coefficient prod C(m_k, j_k).  Weights
 are scaled to their common denominator, coefficients are summed as
-integers, and monomials and fractions are built once at the end.  In such a
-series the t^n coefficient is homogeneous of weight n.
+integers, and one Fraction is built per output monomial, in a polynomial
+that skips the key checks.  In such a series the t^n coefficient is
+homogeneous of weight n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .exact_arith import Rational, gen_binomial
 
 __all__ = [
-    "PSMonomial",
     "PSPolynomial",
     "TSeries",
     "sum_of_products",
     "specialize_p1",
+    "format_monomial",
 ]
 
+# A monomial key: (generator, exponent) pairs, see the module docstring.
+Monomial = tuple[tuple[int, int], ...]
 
-class PSMonomial:
-    """A monomial in the p_k generators, e.g. p_1^2 * p_3.
 
-    Stored as a tuple of (generator index, exponent) pairs sorted by
-    ascending index, with no zero exponents; the empty tuple is the unit
-    monomial.  Instances are immutable and hashable.
-    """
+def format_monomial(mono: Monomial) -> str:
+    """The text form of a monomial key, e.g. "p1^2*p3"; the unit is "1"."""
+    if not mono:
+        return "1"
+    return "*".join(f"p{k}" if e == 1 else f"p{k}^{e}" for k, e in mono)
 
-    __slots__ = ("exps", "weight", "_hash")
 
-    exps: tuple[tuple[int, int], ...]
-    weight: int
-
-    def __init__(self, exps: Iterable[tuple[int, int]] = ()):
-        exps = tuple(exps)
-        prev = 0
-        for k, e in exps:
-            if k <= prev:
-                raise ValueError(f"generator indices must be ascending: {exps}")
-            if e <= 0:
-                raise ValueError(f"exponents must be positive: {exps}")
-            prev = k
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "weight", sum(k * e for k, e in exps))
-        object.__setattr__(self, "_hash", hash(exps))
-
-    @classmethod
-    def _trusted(
-        cls, exps: tuple[tuple[int, int], ...], weight: int
-    ) -> "PSMonomial":
-        # For exponent tuples a kernel generated well formed, with their
-        # weight already known: skips the checks and the weight sum.
-        mono = object.__new__(cls)
-        object.__setattr__(mono, "exps", exps)
-        object.__setattr__(mono, "weight", weight)
-        object.__setattr__(mono, "_hash", hash(exps))
-        return mono
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PSMonomial is immutable")
-
-    def is_pure_p1(self) -> bool:
-        """True if the monomial is a power of p_1 (or the unit)."""
-        return not self.exps or (len(self.exps) == 1 and self.exps[0][0] == 1)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PSMonomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"PSMonomial({self.exps!r})"
-
-    def __str__(self) -> str:
-        if not self.exps:
-            return "1"
-        return "*".join(
-            f"p{k}" if e == 1 else f"p{k}^{e}" for k, e in self.exps
-        )
+def _check_monomial(mono: Monomial) -> None:
+    # A key from outside: (k, e) pairs with ascending k >= 1 and e >= 1.
+    prev = 0
+    for k, e in mono:
+        if k <= prev or e <= 0:
+            raise ValueError(f"not a monomial key: {mono!r}")
+        prev = k
 
 
 class PSPolynomial:
     """A finite Q-linear combination of power-sum monomials.
 
-    Zero coefficients are never stored; the zero polynomial has no terms.
-    Instances are immutable.
+    ``terms`` maps monomial keys to nonzero Fractions; the zero polynomial
+    has no terms.  Instances are immutable.
     """
 
     __slots__ = ("terms",)
 
-    terms: dict[PSMonomial, Fraction]
+    terms: dict[Monomial, Fraction]
 
-    def __init__(self, terms: Mapping[PSMonomial, Rational] | None = None):
-        clean: dict[PSMonomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
+        clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
+                _check_monomial(mono)
                 if type(coeff) is not Fraction:
                     coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Fraction]) -> "PSPolynomial":
+        # For kernel output: well-formed keys, nonzero Fraction values.
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("PSPolynomial is immutable")
@@ -127,37 +96,21 @@ class PSPolynomial:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PSPolynomial) and self.terms == other.terms
 
-    def coefficient(self, mono: PSMonomial) -> Fraction:
+    def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
     def is_homogeneous(self, weight: int) -> bool:
         """True if every stored monomial has the given weight."""
-        return all(m.weight == weight for m in self.terms)
+        return all(
+            sum(k * e for k, e in mono) == weight for mono in self.terms
+        )
 
-    def sorted_terms(self) -> list[tuple[PSMonomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical (exponent-lexicographic) order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].exps)
+        return sorted(self.terms.items(), key=itemgetter(0))
 
     def __repr__(self) -> str:
         return f"PSPolynomial({dict(self.sorted_terms())!r})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            if not mono.exps:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(str(mono))
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
 
 
 class TSeries:
@@ -269,14 +222,14 @@ def sum_of_products(
     return TSeries(
         order,
         [
-            PSPolynomial(
+            PSPolynomial._trusted(
                 {
-                    PSMonomial._trusted(exps, w): Fraction(num, denom)
+                    exps: Fraction(num, denom)
                     for exps, num in bucket.items()
                     if num
                 }
             )
-            for w, bucket in enumerate(sums)
+            for bucket in sums
         ],
     )
 
@@ -293,7 +246,7 @@ def specialize_p1(series: TSeries) -> list[Fraction]:
     for poly in series.coeffs:
         total = Fraction(0)
         for mono, coeff in poly.terms.items():
-            if mono.is_pure_p1():
+            if all(k == 1 for k, _ in mono):
                 total += coeff
         out.append(total)
     return out

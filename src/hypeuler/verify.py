@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, lcm
+from operator import mul
 
 from .bini_oracle import (
     bini_chi_compact,
@@ -48,6 +49,7 @@ from .hyperelliptic_core import (
 from .schur_transform import (
     SchurVector,
     centralizer_order,
+    format_partition,
     mn_character,
     p_to_schur,
     partitions_of,
@@ -55,9 +57,9 @@ from .schur_transform import (
     schur_to_p,
 )
 from .symfunc_series import (
-    PSMonomial,
     PSPolynomial,
     TSeries,
+    format_monomial,
     specialize_p1,
     sum_of_products,
 )
@@ -79,7 +81,7 @@ _CLOSED_FORMS_DEPTH = 6
 # Bini's formulas hold on lo <= n <= 2g+c, for (lo, c) below.
 _BINI_RANGE = (5, 2)
 
-_ONE = PSPolynomial({PSMonomial(): 1})
+_ONE = PSPolynomial({(): 1})
 
 
 def check_specialization(g_lo: int, g_hi: int, order: int | None = None) -> CheckResult:
@@ -160,36 +162,35 @@ def check_double_sum_identity(g_lo: int, g_hi: int, depth: int) -> CheckResult:
     )
 
 
-_LOW_DEGREE_MONOMIALS = tuple(
-    PSMonomial(exps)
-    for exps in [
-        ((2, 1),),
-        ((1, 1), (2, 1)),
-        ((1, 2), (2, 1)),
-        ((2, 2),),
-        ((3, 1),),
-        ((1, 1), (3, 1)),
-        ((4, 1),),
-    ]
+_LOW_DEGREE_MONOMIALS = (
+    ((2, 1),),
+    ((1, 1), (2, 1)),
+    ((1, 2), (2, 1)),
+    ((2, 2),),
+    ((3, 1),),
+    ((1, 1), (3, 1)),
+    ((4, 1),),
 )
 
 
 def check_low_degree_tables(g_lo: int, g_hi: int) -> CheckResult:
     """Series coefficients up to t^4 match the residue-class closed forms."""
-    p2 = PSMonomial(((2, 1),))
-    p4 = PSMonomial(((4, 1),))
+    p2 = ((2, 1),)
+    p4 = ((4, 1),)
     p2_by_parity = (Fraction(0), Fraction(1))
     p4_by_residue = (Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(0))
     for g in range(g_lo, g_hi + 1):
         series = equivariant_series(g, 4)
         for mono in _LOW_DEGREE_MONOMIALS:
-            got = series.coeffs[mono.weight].coefficient(mono)
+            weight = sum(k * e for k, e in mono)
+            got = series.coeffs[weight].coefficient(mono)
             want = low_degree_coefficient(g, mono)
             if got != want:
                 return CheckResult(
                     "low-degree-tables",
                     False,
-                    f"g={g}, {mono}: series gives {got}, closed form {want}",
+                    f"g={g}, {format_monomial(mono)}: series gives {got}, "
+                    f"closed form {want}",
                 )
         if low_degree_coefficient(g, p2) != p2_by_parity[g % 2]:
             return CheckResult(
@@ -259,7 +260,7 @@ def _naive_series_mul(a: TSeries, b: TSeries) -> TSeries:
         return denom, [
             [
                 (
-                    sum(((k,) * e for k, e in mono.exps), ()),
+                    sum(((k,) * e for k, e in mono), ()),
                     c.numerator * (denom // c.denominator),
                 )
                 for mono, c in poly.terms.items()
@@ -281,7 +282,7 @@ def _naive_series_mul(a: TSeries, b: TSeries) -> TSeries:
         coeffs.append(
             PSPolynomial(
                 {
-                    PSMonomial(
+                    tuple(
                         (k, len(list(run))) for k, run in groupby(key)
                     ): Fraction(c, denom)
                     for key, c in acc.items()
@@ -361,18 +362,18 @@ def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
     # Character orthogonality: sum_lam chi(mu) chi(nu) = z_mu [mu == nu].
     for n in range(9):
         parts = partitions_of(n)
-        for mu in parts:
-            for nu in parts:
-                total = sum(
-                    mn_character(lam, mu) * mn_character(lam, nu)
-                    for lam in parts
-                )
+        columns = [[mn_character(lam, mu) for lam in parts] for mu in parts]
+        for mu, chi_mu in zip(parts, columns):
+            for nu, chi_nu in zip(parts, columns):
+                total = sum(map(mul, chi_mu, chi_nu))
                 want = centralizer_order(mu) if mu == nu else 0
                 if total != want:
                     return CheckResult(
                         "algebra",
                         False,
-                        f"orthogonality fails at n={n}, mu={mu}, nu={nu}",
+                        f"orthogonality fails at n={n}, "
+                        f"mu={format_partition(mu)}, "
+                        f"nu={format_partition(nu)}",
                     )
     # Power-sum <-> Schur round trip on basis vectors.
     for n in range(8):
@@ -381,7 +382,9 @@ def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
             back = p_to_schur(schur_to_p(unit), n)
             if back != unit:
                 return CheckResult(
-                    "algebra", False, f"round trip fails at {lam}"
+                    "algebra",
+                    False,
+                    f"round trip fails at {format_partition(lam)}",
                 )
     return CheckResult(
         "algebra",

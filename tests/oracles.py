@@ -17,14 +17,12 @@ from math import gcd
 
 from hypeuler.hyperelliptic_core import symmetry_classes
 from hypeuler.schur_transform import (
-    Partition,
     SchurVector,
     centralizer_order,
     mn_character,
-    p_monomial_cycle_type,
     partitions_of,
 )
-from hypeuler.symfunc_series import PSMonomial, PSPolynomial, TSeries
+from hypeuler.symfunc_series import PSPolynomial, TSeries, format_monomial
 
 # ---------------------------------------------------------------------------
 # number theory
@@ -143,20 +141,11 @@ def _binomial_series(k: int, m: int, order: int) -> list[dict]:
 
 
 def _dicts(series: TSeries) -> list[dict]:
-    return [
-        {mono.exps: c for mono, c in poly.terms.items()}
-        for poly in series.coeffs
-    ]
+    return [dict(poly.terms) for poly in series.coeffs]
 
 
 def _tseries(series: list[dict]) -> TSeries:
-    return TSeries(
-        len(series) - 1,
-        [
-            PSPolynomial({PSMonomial(exps): c for exps, c in bucket.items()})
-            for bucket in series
-        ],
-    )
+    return TSeries(len(series) - 1, [PSPolynomial(b) for b in series])
 
 
 def reference_series_mul(a: TSeries, b: TSeries) -> TSeries:
@@ -196,15 +185,17 @@ def reference_equivariant_series(g: int, order: int) -> TSeries:
 
 def reference_p_to_schur(poly: PSPolynomial, n: int) -> SchurVector:
     """sum_mu c_mu chi^lambda(mu) for each lambda, summed as Fractions."""
-    cycle_coeffs: dict[Partition, Fraction] = {}
+    cycle_coeffs: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in poly.terms.items():
-        if mono.weight != n:
+        weight = sum(k * e for k, e in mono)
+        if weight != n:
             raise ValueError(
-                f"monomial {mono} has weight {mono.weight}, expected {n}"
+                f"monomial {format_monomial(mono)} has weight {weight}, "
+                f"expected {n}"
             )
-        mu = p_monomial_cycle_type(mono)
+        mu = tuple(sorted(Counter(dict(mono)).elements(), reverse=True))
         cycle_coeffs[mu] = cycle_coeffs.get(mu, Fraction(0)) + coeff
-    out: dict[Partition, Fraction] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
     for lam in partitions_of(n):
         total = Fraction(0)
         for mu, c in cycle_coeffs.items():
@@ -216,16 +207,13 @@ def reference_p_to_schur(poly: PSPolynomial, n: int) -> SchurVector:
 
 def reference_schur_to_p(vec: SchurVector) -> PSPolynomial:
     """s_lambda = sum_mu chi^lambda(mu)/z_mu p_mu, summed as Fractions."""
-    terms: dict[PSMonomial, Fraction] = {}
+    terms: dict[tuple[tuple[int, int], ...], Fraction] = {}
     for lam, c in vec.coeffs.items():
         for mu in partitions_of(vec.n):
             chi = mn_character(lam, mu)
             if not chi:
                 continue
-            exps: dict[int, int] = {}
-            for part in mu.parts:
-                exps[part] = exps.get(part, 0) + 1
-            mono = PSMonomial(sorted(exps.items()))
+            mono = tuple(sorted(Counter(mu).items()))
             val = terms.get(mono, Fraction(0)) + c * Fraction(
                 chi, centralizer_order(mu)
             )
@@ -238,7 +226,7 @@ def reference_schur_to_p(vec: SchurVector) -> PSPolynomial:
 
 def reference_schur_dimension_sum(vec: SchurVector) -> Fraction:
     """sum_lambda c_lambda chi^lambda(1^n), summed as Fractions."""
-    ones = Partition([1] * vec.n)
+    ones = (1,) * vec.n
     total = Fraction(0)
     for lam, c in vec.coeffs.items():
         total += c * mn_character(lam, ones)

@@ -231,12 +231,12 @@ def _series_coefficients(genus, points, basis, convention):
     out = []
     for n, poly in enumerate(series.coeffs):
         if basis == "powersum":
-            out.append({m.exps: c for m, c in poly.sorted_terms()})
+            out.append(dict(poly.sorted_terms()))
         else:
             vec = p_to_schur(poly, n)
             if convention == "sign-twisted":
                 vec = sign_twist(vec)
-            out.append({lam.parts: c for lam, c in vec.sorted_items()})
+            out.append(dict(vec.sorted_items()))
     return out
 
 

@@ -38,3 +38,38 @@ def test_euler_output_is_the_same_under_optimize():
     plain = _euler_stdout()
     assert plain.startswith(b"chi(H_(g,n)) for genus g = 7\n")
     assert _euler_stdout("-O") == plain
+
+
+# Each call passes one malformed key or argument to a public entry point.
+MALFORMED_CALLS = """
+from hypeuler import (
+    PSPolynomial, SchurVector, centralizer_order, low_degree_coefficient,
+    mn_character,
+)
+calls = [
+    lambda: PSPolynomial({((2, 1), (1, 1)): 1}),
+    lambda: PSPolynomial({((1, 0),): 1}),
+    lambda: SchurVector(3, {(1, 2): 1}),
+    lambda: SchurVector(3, {(2, 0, 1): 1}),
+    lambda: mn_character((1, 2), (3,)),
+    lambda: centralizer_order((0,)),
+    lambda: low_degree_coefficient(3, ((5, 1),)),
+]
+for call in calls:
+    try:
+        call()
+        print("accepted")
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_malformed_keys_raise_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MALFORMED_CALLS],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True,
+        timeout=120,
+    )
+    assert proc.stdout.split() == [b"ValueError"] * 7

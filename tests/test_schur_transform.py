@@ -6,18 +6,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypeuler.hyperelliptic_core import equivariant_series
 from hypeuler.schur_transform import (
-    Partition,
     SchurVector,
+    _cycle_parts,
+    _multiplicities,
     centralizer_order,
+    conjugate,
+    format_partition,
     mn_character,
-    p_monomial_cycle_type,
     p_to_schur,
     partitions_of,
     schur_dimension_sum,
     schur_to_p,
     sign_twist,
 )
-from hypeuler.symfunc_series import PSMonomial, PSPolynomial
+from hypeuler.symfunc_series import PSPolynomial
 from oracles import (
     character_oracle,
     partition_count,
@@ -29,14 +31,15 @@ from oracles import (
 
 def p_power(k: int, e: int = 1) -> PSPolynomial:
     """The polynomial p_k^e."""
-    return PSPolynomial({PSMonomial(((k, e),)): 1})
+    return PSPolynomial({((k, e),): 1})
 
 
-def p_mu(mu: Partition) -> PSMonomial:
+def p_mu(mu: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The monomial key of p_mu, counted here rather than by the library."""
     exps: dict[int, int] = {}
-    for part in mu.parts:
+    for part in mu:
         exps[part] = exps.get(part, 0) + 1
-    return PSMonomial(sorted(exps.items()))
+    return tuple(sorted(exps.items()))
 
 
 def assert_conversions_match_reference(poly: PSPolynomial, n: int) -> None:
@@ -66,41 +69,55 @@ def weight_n_polys(draw):
 
 
 class TestPartition:
+    """Partition keys: tuples of parts, checked at the public entry points."""
+
     def test_canonical_form(self):
-        p = Partition((3, 2, 2))
-        assert p.parts == (3, 2, 2)
-        assert p.size == 7 and len(p) == 3
+        # The key is stored as given; equal tuples are one partition.
+        vec = SchurVector(7, {(3, 2, 2): 1, (7,): 0})
+        assert vec.coeffs == {(3, 2, 2): Fraction(1)}
+        assert type(vec.coeffs[3, 2, 2]) is Fraction
+        assert all(type(lam) is tuple for lam in partitions_of(7))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Partition((1, 2))
+            SchurVector(3, {(1, 2): 1})  # increasing
         with pytest.raises(ValueError):
-            Partition((2, 0))
+            SchurVector(3, {(2, 0, 1): 1})  # zero part
+        with pytest.raises(ValueError):
+            SchurVector(2, {(2, 0): 1})  # trailing zero
+        with pytest.raises(ValueError):
+            mn_character((1, 2), (3,))
+        with pytest.raises(ValueError):
+            mn_character((3,), (2, 2, -1))
+        with pytest.raises(ValueError):
+            centralizer_order((0,))
 
     def test_conjugate(self):
-        assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
-        assert Partition(()).conjugate() == Partition(())
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate(()) == ()
         for lam in partitions_of(6):
-            assert lam.conjugate().conjugate() == lam
+            assert conjugate(conjugate(lam)) == lam
 
     def test_conjugate_matches_validated_columns(self):
-        # conjugate() skips the checks; its result must equal the validated
-        # partition of column lengths, hash included.
+        # conjugate() is unchecked; its result must equal the column
+        # lengths and pass the checks of a Schur vector key.
         for n in range(13):
             for lam in partitions_of(n):
                 cols = [sum(1 for p in lam if p >= j) for j in range(1, n + 1)]
-                want = Partition(c for c in cols if c)
-                got = lam.conjugate()
-                assert got == want and hash(got) == hash(want), lam
-                assert type(got.parts) is tuple
+                want = tuple(c for c in cols if c)
+                got = conjugate(lam)
+                assert got == want and type(got) is tuple, lam
+                assert SchurVector(n, {got: 1}).coeffs == {want: 1}
 
     def test_render(self):
-        assert str(Partition((2, 1))) == "[2,1]"
+        assert format_partition((2, 1)) == "[2,1]"
+        assert format_partition((10,)) == "[10]"
+        assert format_partition(()) == "[]"
 
 
 class TestPartitionsOf:
     def test_empty(self):
-        assert partitions_of(0) == [Partition(())]
+        assert partitions_of(0) == [()]
 
     def test_counts(self):
         assert len(partitions_of(4)) == 5
@@ -109,37 +126,37 @@ class TestPartitionsOf:
             assert len(partitions_of(n)) == partition_count(n)
 
     def test_reverse_lex_order(self):
-        got = [p.parts for p in partitions_of(4)]
+        got = partitions_of(4)
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         for n in range(9):
-            parts = [p.parts for p in partitions_of(n)]
+            parts = partitions_of(n)
             assert parts == sorted(parts, reverse=True)
 
 
 class TestMnCharacter:
     def test_trivial_representation(self):
         for n in range(1, 7):
-            row = Partition((n,))
+            row = (n,)
             for mu in partitions_of(n):
                 assert mn_character(row, mu) == 1
 
     def test_sign_representation(self):
-        assert mn_character(Partition((1, 1, 1)), Partition((2, 1))) == -1
+        assert mn_character((1, 1, 1), (2, 1)) == -1
 
     def test_standard_of_s3_on_three_cycle(self):
-        assert mn_character(Partition((2, 1)), Partition((3,))) == -1
+        assert mn_character((2, 1), (3,)) == -1
 
     def test_matches_alternant_oracle(self):
         for n in range(7):
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert mn_character(lam, mu) == character_oracle(
-                        lam.parts, mu.parts
+                        lam, mu
                     ), (lam, mu)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            mn_character(Partition((2,)), Partition((3,)))
+            mn_character((2,), (3,))
 
     def test_orthogonality(self):
         for n in range(7):
@@ -156,29 +173,34 @@ class TestMnCharacter:
 
 
 class TestCycleType:
+    """The private (k, e) <-> parts conversion inside the Schur layer."""
+
     def test_pure_p1(self):
-        assert p_monomial_cycle_type(PSMonomial(((1, 3),))) == Partition(
-            (1, 1, 1)
-        )
+        assert _cycle_parts(((1, 3),)) == (1, 1, 1)
+        assert _multiplicities((1, 1, 1)) == ((1, 3),)
 
     def test_mixed(self):
-        mono = PSMonomial(((1, 2), (2, 1)))
-        assert p_monomial_cycle_type(mono) == Partition((2, 1, 1))
+        assert _cycle_parts(((1, 2), (2, 1))) == (2, 1, 1)
+        assert _multiplicities((2, 1, 1)) == ((1, 2), (2, 1))
 
     def test_single_generator(self):
-        assert p_monomial_cycle_type(PSMonomial(((4, 1),))) == Partition((4,))
+        assert _cycle_parts(((4, 1),)) == (4,)
+        assert _cycle_parts(()) == ()
 
     def test_size_is_weight(self):
-        mono = PSMonomial(((2, 2), (3, 1)))
-        assert p_monomial_cycle_type(mono).size == mono.weight
+        assert sum(_cycle_parts(((2, 2), (3, 1)))) == 7
+        for n in range(11):
+            for mu in partitions_of(n):
+                assert _multiplicities(mu) == p_mu(mu)
+                assert _cycle_parts(p_mu(mu)) == mu
 
 
 class TestCentralizerOrder:
     def test_values(self):
-        assert centralizer_order(Partition(())) == 1
-        assert centralizer_order(Partition((1, 1, 1))) == 6
-        assert centralizer_order(Partition((2, 1))) == 2
-        assert centralizer_order(Partition((3,))) == 3
+        assert centralizer_order(()) == 1
+        assert centralizer_order((1, 1, 1)) == 6
+        assert centralizer_order((2, 1)) == 2
+        assert centralizer_order((3,)) == 3
 
     def test_sums_to_factorial(self):
         # sum over cycle types of n!/z_mu counts all permutations
@@ -193,24 +215,18 @@ class TestCentralizerOrder:
 class TestPToSchur:
     def test_p1(self):
         got = p_to_schur(p_power(1), 1)
-        assert got == SchurVector(1, {Partition((1,)): Fraction(1)})
+        assert got == SchurVector(1, {(1,): Fraction(1)})
 
     def test_p2(self):
         got = p_to_schur(p_power(2), 2)
-        assert got == SchurVector(
-            2, {Partition((2,)): Fraction(1), Partition((1, 1)): Fraction(-1)}
-        )
+        assert got == SchurVector(2, {(2,): Fraction(1), (1, 1): Fraction(-1)})
 
     def test_p1_squared(self):
         got = p_to_schur(p_power(1, 2), 2)
-        assert got == SchurVector(
-            2, {Partition((2,)): Fraction(1), Partition((1, 1)): Fraction(1)}
-        )
+        assert got == SchurVector(2, {(2,): Fraction(1), (1, 1): Fraction(1)})
 
     def test_rejects_inhomogeneous(self):
-        mixed = PSPolynomial(
-            {PSMonomial(((1, 1),)): 1, PSMonomial(((2, 1),)): 1}
-        )
+        mixed = PSPolynomial({((1, 1),): 1, ((2, 1),): 1})
         with pytest.raises(ValueError):
             p_to_schur(mixed, 2)
 
@@ -223,20 +239,16 @@ class TestPToSchur:
     def test_round_trip_through_p_basis(self):
         for n in range(7):
             for mu in partitions_of(n):
-                exps: dict[int, int] = {}
-                for part in mu.parts:
-                    exps[part] = exps.get(part, 0) + 1
-                mono = PSMonomial(sorted(exps.items()))
-                p_mu = PSPolynomial({mono: Fraction(1)})
-                back = schur_to_p(p_to_schur(p_mu, n))
-                assert back == p_mu, mu
+                poly = PSPolynomial({p_mu(mu): Fraction(1)})
+                back = schur_to_p(p_to_schur(poly, n))
+                assert back == poly, mu
 
 
 @settings(max_examples=80, deadline=None)
 @given(weight_n_polys())
 @example((PSPolynomial(), 0))
 @example((PSPolynomial(), 5))
-@example((PSPolynomial({PSMonomial(): Fraction(-7, 3)}), 0))
+@example((PSPolynomial({(): Fraction(-7, 3)}), 0))
 def test_conversions_match_reference_on_random_polys(case):
     poly, n = case
     assert_conversions_match_reference(poly, n)
@@ -265,9 +277,7 @@ def test_conversions_match_reference_on_schur_vectors():
 
 
 def test_wrong_weight_raises_like_reference():
-    poly = PSPolynomial(
-        {PSMonomial(((1, 3),)): 1, PSMonomial(((2, 1),)): 1}
-    )
+    poly = PSPolynomial({((1, 3),): 1, ((2, 1),): 1})
     for convert in (p_to_schur, reference_p_to_schur):
         with pytest.raises(ValueError, match="has weight 2, expected 3"):
             convert(poly, 3)
@@ -276,13 +286,11 @@ def test_wrong_weight_raises_like_reference():
 class TestSchurDimensionSum:
     def test_single_box(self):
         assert schur_dimension_sum(
-            SchurVector(1, {Partition((1,)): Fraction(1)})
+            SchurVector(1, {(1,): Fraction(1)})
         ) == 1
 
     def test_two_boxes(self):
-        vec = SchurVector(
-            2, {Partition((2,)): Fraction(1), Partition((1, 1)): Fraction(1)}
-        )
+        vec = SchurVector(2, {(2,): Fraction(1), (1, 1): Fraction(1)})
         assert schur_dimension_sum(vec) == 2
 
     def test_regular_representation(self):
@@ -297,21 +305,16 @@ class TestSchurDimensionSum:
 
 class TestSignTwist:
     def test_conjugates_labels(self):
-        vec = SchurVector(
-            3, {Partition((3,)): Fraction(2), Partition((2, 1)): Fraction(-1)}
-        )
+        vec = SchurVector(3, {(3,): Fraction(2), (2, 1): Fraction(-1)})
         got = sign_twist(vec)
-        assert got.coefficient(Partition((1, 1, 1))) == 2
-        assert got.coefficient(Partition((2, 1))) == -1
+        assert got.coefficient((1, 1, 1)) == 2
+        assert got.coefficient((2, 1)) == -1
 
     def test_matches_sign_on_p_basis(self):
         # twisting then expanding equals expanding the sign-scaled p's
         for n in range(6):
             for mu in partitions_of(n):
-                exps: dict[int, int] = {}
-                for part in mu.parts:
-                    exps[part] = exps.get(part, 0) + 1
-                mono = PSMonomial(sorted(exps.items()))
+                mono = p_mu(mu)
                 eps = (-1) ** (n - len(mu))
                 lhs = sign_twist(
                     p_to_schur(PSPolynomial({mono: Fraction(1)}), n)
@@ -327,9 +330,9 @@ class TestSignTwist:
 class TestSchurVector:
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            SchurVector(2, {Partition((3,)): Fraction(1)})
+            SchurVector(2, {(3,): Fraction(1)})
 
     def test_sorted_items_reverse_lex(self):
         vec = p_to_schur(p_power(1, 3), 3)
-        keys = [lam.parts for lam, _ in vec.sorted_items()]
+        keys = [lam for lam, _ in vec.sorted_items()]
         assert keys == sorted(keys, reverse=True)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypeuler.symfunc_series import (
-    PSMonomial,
     PSPolynomial,
     TSeries,
+    format_monomial,
     specialize_p1,
     sum_of_products,
 )
@@ -19,7 +19,7 @@ from oracles import (
 
 
 def poly(*terms: tuple[tuple[tuple[int, int], ...], int | Fraction]):
-    return PSPolynomial({PSMonomial(e): Fraction(c) for e, c in terms})
+    return PSPolynomial({e: Fraction(c) for e, c in terms})
 
 
 ONE = poly(((), 1))
@@ -42,20 +42,30 @@ def product(factors, order: int) -> TSeries:
 
 
 class TestPSMonomial:
+    """Monomial keys: (k, e) tuples, checked where a PSPolynomial is built."""
+
     def test_unit(self):
-        u = PSMonomial()
-        assert u.weight == 0 and str(u) == "1"
+        assert format_monomial(()) == "1"
+        assert poly(((), 3)).is_homogeneous(0)
 
     def test_weight_and_render(self):
-        m = PSMonomial(((1, 2), (3, 1)))
-        assert m.weight == 5
-        assert str(m) == "p1^2*p3"
+        m = ((1, 2), (3, 1))
+        assert poly((m, 1)).is_homogeneous(5)
+        assert not poly((m, 1)).is_homogeneous(4)
+        assert format_monomial(m) == "p1^2*p3"
+        # The key is stored as given, and zero coefficients are dropped.
+        got = PSPolynomial({m: 3, (): 0})
+        assert got.terms == {m: Fraction(3)} and type(got.terms[m]) is Fraction
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PSMonomial(((2, 1), (1, 1)))  # not ascending
+            PSPolynomial({((2, 1), (1, 1)): 1})  # not ascending
         with pytest.raises(ValueError):
-            PSMonomial(((1, 0),))  # zero exponent
+            PSPolynomial({((1, 0),): 1})  # zero exponent
+        with pytest.raises(ValueError):
+            PSPolynomial({((0, 1),): 1})  # no generator p_0
+        with pytest.raises(ValueError):
+            PSPolynomial({((1, 1), (1, 1)): 1})  # repeated generator
 
 
 # Factor lists with repeated generators, negative exponents, generators

@@ -1,7 +1,7 @@
 import pytest
 
 import hypeuler.verify as verify
-from hypeuler.symfunc_series import PSMonomial, PSPolynomial, TSeries
+from hypeuler.symfunc_series import PSPolynomial, TSeries
 from hypeuler.verify import (
     check_algebra,
     check_basis_roundtrip,
@@ -85,7 +85,7 @@ def _bump_product_at(func, point):
         series = func(terms, order)
         if not point(terms, order):
             return series
-        one = PSMonomial()
+        one = ()
         constant = PSPolynomial({one: series.coeffs[0].coefficient(one) + 1})
         return TSeries(order, (constant,) + series.coeffs[1:])
 
@@ -133,7 +133,7 @@ def _bump_product_at(func, point):
         (
             "low_degree_coefficient",
             _bump_at,
-            (3, PSMonomial(((2, 1),))),
+            (3, ((2, 1),)),
             lambda: verify.check_low_degree_tables(2, 4),
             "g=3, p2: series gives",
         ),
