@@ -22,7 +22,6 @@ from .exact_arith import (
     divisors,
     euler_phi,
     gen_binomial,
-    verify_phi_identities,
 )
 from .symfunc_series import (
     PSPolynomial,
@@ -73,7 +72,6 @@ __all__ = [
     "euler_phi",
     "divisors",
     "gen_binomial",
-    "verify_phi_identities",
     "PSPolynomial",
     "TSeries",
     "sum_of_products",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .hyperelliptic_core import chi_pointed, equivariant_series
@@ -30,6 +31,8 @@ from .verify import run_battery
 __all__ = ["run", "main"]
 
 
+# Built once per process: parse_args leaves the parser as it found it.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypeuler",

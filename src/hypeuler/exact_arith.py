@@ -7,8 +7,10 @@ equality is structural.
 
 The number-theoretic helpers (totient, divisor lists, generalized binomial
 coefficients) cover exactly what the generating-function pipeline consumes;
-arguments stay small (a few times the genus), so plain trial division is
-the right tool.
+there the arguments stay small (a few times the genus), so plain trial
+division is the right tool.  The verification battery's totient check
+calls ``euler_phi`` once per argument up to its limit and forms the divisor
+sums with a sieve of its own (``verify.check_totient_identities``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "euler_phi",
     "divisors",
     "gen_binomial",
-    "verify_phi_identities",
 ]
 
 
@@ -78,20 +79,3 @@ def gen_binomial(m: int, j: int) -> int:
         return comb(m, j)
     # C(m, j) = (-1)^j C(j - m - 1, j) for m < 0.
     return (-1) ** j * comb(j - m - 1, j)
-
-
-def verify_phi_identities(n: int) -> bool:
-    """Check the divisor-sum totient identities at n.
-
-    Verifies sum_{a|n} phi(a) == n, and additionally, when n is even,
-    sum_{a|n} (-1)^(n/a) phi(a) == 0.
-    """
-    if n < 1:
-        raise ValueError(f"verify_phi_identities requires n >= 1, got {n}")
-    divs = divisors(n)
-    if sum(euler_phi(a) for a in divs) != n:
-        return False
-    if n % 2 == 0:
-        if sum((-1) ** (n // a) * euler_phi(a) for a in divs) != 0:
-            return False
-    return True

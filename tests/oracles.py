@@ -6,16 +6,19 @@ alternant coefficient extraction instead of border-strip recursion, plain
 counting instead of closed forms.  The ``reference_*`` functions compute
 term by term what the library's integer kernels compute in one pass (series
 products one factor at a time, Schur conversion one Fraction multiply-add
-per character) to pin those kernels.
+per character, Bini's sums one Fraction per term, the totient identities
+one divisor list per n) to pin those kernels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd, prod
 
-from hypeuler.hyperelliptic_core import symmetry_classes
+from hypeuler.bini_oracle import _check_range, ext_factorial
+from hypeuler.exact_arith import divisors, euler_phi
+from hypeuler.hyperelliptic_core import GenusParams, symmetry_classes
 from hypeuler.schur_transform import (
     SchurVector,
     centralizer_order,
@@ -34,6 +37,23 @@ def phi_bruteforce(n: int) -> int:
 
 def divisors_bruteforce(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def reference_phi_identities(n: int) -> bool:
+    """Check the divisor-sum totient identities at n.
+
+    Verifies sum_{a|n} phi(a) == n, and additionally, when n is even,
+    sum_{a|n} (-1)^(n/a) phi(a) == 0.
+    """
+    if n < 1:
+        raise ValueError(f"reference_phi_identities requires n >= 1, got {n}")
+    divs = divisors(n)
+    if sum(euler_phi(a) for a in divs) != n:
+        return False
+    if n % 2 == 0:
+        if sum((-1) ** (n // a) * euler_phi(a) for a in divs) != 0:
+            return False
+    return True
 
 
 def partition_count(n: int) -> int:
@@ -230,4 +250,111 @@ def reference_schur_dimension_sum(vec: SchurVector) -> Fraction:
     total = Fraction(0)
     for lam, c in vec.coeffs.items():
         total += c * mn_character(lam, ones)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Bini's formulas summed term by term as Fractions
+
+
+def _inv_factorial(k: int) -> Fraction:
+    # 1/k!, zero for negative k (reciprocal-Gamma convention).
+    return Fraction(0) if k < 0 else Fraction(1, factorial(k))
+
+
+def _comb0(a: int, b: int) -> int:
+    # Binomial that vanishes outside 0 <= b <= a.
+    if b < 0 or a < 0:
+        return 0
+    return comb(a, b)
+
+
+def _falling_tail(g: int, n: int) -> int:
+    # (2g-1)(2g-2)...(2g-n+3): the product of n-3 consecutive integers.
+    return prod(range(2 * g - n + 3, 2 * g))
+
+
+def reference_bini_chi_long(g: int, n: int) -> Fraction:
+    """chi(H_{g,n}) for 5 <= n <= 2g+2 via the original bracketed formula."""
+    _check_range(g, n)
+    f = factorial
+    a = (-2) ** n * f(n)
+
+    bracket1 = (
+        Fraction(f(2 * g - 1) * _comb0(2 * g - 1 + n, n))
+        - Fraction(f(2 * g), 4) * _comb0(2 * g + n - 2, n - 2)
+        + Fraction(f(2 * g + 1), 32) * _comb0(2 * g + n - 3, n - 4)
+    )
+    for r in range(3, n // 2 + 1):
+        bracket1 += (
+            Fraction((-1) ** r * f(2 * g - 1), 4**r)
+            * _comb0(2 * g - 1 + r, r)
+            * _comb0(2 * g - 1 + n - r, n - 2 * r)
+        )
+    total = Fraction(-a, 2 * f(2 * g + 2)) * bracket1
+
+    bracket2 = (
+        Fraction(f(2 * g - 1) * _comb0(2 * g + n - 2, n - 1))
+        - Fraction(f(2 * g), 4) * _comb0(2 * g + n - 3, n - 3)
+    )
+    for r in range(2, (n - 1) // 2 + 1):
+        bracket2 += (
+            Fraction((-1) ** r * f(2 * g - 1), 4**r)
+            * _comb0(2 * g - 1 + r, r)
+            * _comb0(2 * g - 2 + n - r, n - 1 - 2 * r)
+        )
+    total += Fraction(a, 4 * f(2 * g + 1)) * bracket2
+
+    total += Fraction(-a, 16 * f(2 * g)) * f(2 * g - 1) * _comb0(
+        2 * g - 3 + n, n - 2
+    ) - _falling_tail(g, n)
+
+    tail = Fraction(0)
+    for r in range(1, (n - 2) // 2 + 1):
+        tail += (
+            Fraction((-1) ** r * f(2 * g - 1), 4**r)
+            * _comb0(2 * g - 1 + r, r)
+            * _comb0(2 * g - 3 + n - r, n - 2 - 2 * r)
+        )
+    total += Fraction(-a, 16 * f(2 * g)) * tail
+
+    cross = Fraction(0)
+    for j in range(3, n):
+        inner = Fraction(0)
+        for r in range((n - j) // 2 + 1):
+            inner += (
+                Fraction((-1) ** r, 4**r)
+                * _comb0(j + r - 3, r)
+                * _comb0(2 * g - 1 + r, 2 * g + 2 - j)
+                * _comb0(2 * g - 1 + n - j - r, n - j - 2 * r)
+            )
+        cross += Fraction((-1) ** j * f(j - 3), 2**j * f(j)) * inner
+    total += Fraction(-a, 2) * cross
+
+    return total
+
+
+def reference_bini_double_sum(g: int, n: int) -> Fraction:
+    """The signed double sum underlying the compact formula.
+
+    sum over j,r >= 0 with j + 2r <= n of
+    (-1)^(n-j-r) 2^(n-j-2r) (2g-1+n-j-r)! / (j! r! (2g+2-j)! (n-j-2r)!).
+    Defined for every n >= 0; equals the closed form below.
+    """
+    GenusParams(g)
+    if n < 0:
+        raise ValueError(f"point count must be >= 0, got {n}")
+    total = Fraction(0)
+    for j in range(n + 1):
+        inv_j = _inv_factorial(j) * _inv_factorial(2 * g + 2 - j)
+        if not inv_j:
+            continue
+        for r in range((n - j) // 2 + 1):
+            total += (
+                Fraction((-1) ** (n - j - r) * 2 ** (n - j - 2 * r))
+                * ext_factorial(2 * g - 1 + n - j - r)
+                * inv_j
+                * _inv_factorial(r)
+                * _inv_factorial(n - j - 2 * r)
+            )
     return total

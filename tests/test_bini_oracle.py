@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypeuler.bini_oracle import (
     bini_chi_compact,
@@ -10,6 +11,7 @@ from hypeuler.bini_oracle import (
     ext_factorial,
 )
 from hypeuler.hyperelliptic_core import chi_pointed
+from oracles import reference_bini_chi_long, reference_bini_double_sum
 
 
 class TestExtFactorial:
@@ -85,3 +87,34 @@ class TestDoubleSumIdentity:
     def test_rejects_negative_points(self):
         with pytest.raises(ValueError):
             bini_double_sum(2, -1)
+
+
+class TestIntegerKernels:
+    # The integer sums against the Fraction sums they replaced.
+    def test_double_sum_on_grid(self):
+        for g in range(2, 21):
+            for n in range(0, 2 * g + 11):
+                assert bini_double_sum(g, n) == reference_bini_double_sum(
+                    g, n
+                ), (g, n)
+
+    def test_long_form_on_grid(self):
+        for g in range(2, 21):
+            for n in range(5, 2 * g + 3):
+                assert bini_chi_long(g, n) == reference_bini_chi_long(
+                    g, n
+                ), (g, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_double_sum_large_genus(self, data):
+        g = data.draw(st.integers(21, 80))
+        n = data.draw(st.integers(0, 2 * g + 10))
+        assert bini_double_sum(g, n) == reference_bini_double_sum(g, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_long_form_large_genus(self, data):
+        g = data.draw(st.integers(21, 80))
+        n = data.draw(st.integers(5, 2 * g + 2))
+        assert bini_chi_long(g, n) == reference_bini_chi_long(g, n)

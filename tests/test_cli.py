@@ -494,3 +494,36 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
         capsys.readouterr()
+
+
+_MIXED_CALLS = (
+    ["series", "--genus", "3", "--max-points", "4", "--format", "json"],
+    ["series", "--genus", "2", "--bogus"],
+    ["euler", "--genus", "4", "--max-points", "6"],
+    [
+        "verify",
+        "--genus-range",
+        "2..2",
+        "--max-points",
+        "3",
+        "--double-sum-depth",
+        "4",
+        "--totient-limit",
+        "20",
+    ],
+)
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    # One parser serves every call of a process; each call must still see
+    # what it would see from a parser built for it alone.
+    fresh = []
+    for args in _MIXED_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(run_capture(capsys, args))
+    cli._build_parser.cache_clear()
+    reused = [run_capture(capsys, args) for args in _MIXED_CALLS]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert fresh[1][2].startswith("usage: hypeuler series")

@@ -4,14 +4,15 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from hypeuler.exact_arith import (
-    Rational,
-    divisors,
-    euler_phi,
-    gen_binomial,
-    verify_phi_identities,
+import hypeuler.verify as verify
+import oracles
+from hypeuler.exact_arith import Rational, divisors, euler_phi, gen_binomial
+from hypeuler.verify import check_totient_identities
+from oracles import (
+    divisors_bruteforce,
+    phi_bruteforce,
+    reference_phi_identities,
 )
-from oracles import divisors_bruteforce, phi_bruteforce
 
 
 class TestEulerPhi:
@@ -100,17 +101,40 @@ class TestGenBinomial:
 
 class TestPhiIdentities:
     def test_trivial(self):
-        assert verify_phi_identities(1)
+        assert reference_phi_identities(1)
+        assert check_totient_identities(1).passed
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_even_cases(self, n):
         # direct summation over the divisor list
         assert sum(euler_phi(a) for a in divisors(n)) == n
         assert sum((-1) ** (n // a) * euler_phi(a) for a in divisors(n)) == 0
-        assert verify_phi_identities(n)
+        assert reference_phi_identities(n)
+        assert check_totient_identities(n).passed
 
     def test_range(self):
-        assert all(verify_phi_identities(n) for n in range(1, 2000))
+        assert all(reference_phi_identities(n) for n in range(1, 2000))
+        assert check_totient_identities(1999).detail == "n=1..1999"
+
+    @pytest.mark.parametrize("bad", [None, 1, 2, 6, 1500, 2999])
+    def test_sieve_matches_reference(self, monkeypatch, bad):
+        # The sieve reports the first n at which the per-n reference
+        # fails, with the totient off by one at `bad` for both.
+        def phi(a):
+            return euler_phi(a) + (a == bad)
+
+        monkeypatch.setattr(verify, "euler_phi", phi)
+        monkeypatch.setattr(oracles, "euler_phi", phi)
+        limit = 3000
+        failing = (
+            n for n in range(1, limit + 1) if not reference_phi_identities(n)
+        )
+        first = next(failing, None)
+        result = check_totient_identities(limit)
+        if first is None:
+            assert result.passed and result.detail == f"n=1..{limit}"
+        else:
+            assert not result.passed and result.detail == f"fails at n={first}"
 
 
 class TestRational:

@@ -124,6 +124,27 @@ def _bump_product_at(func, point):
             "mismatch at g=3, n=7",
         ),
         (
+            "bini_chi_long",
+            _bump_at,
+            (3, 7),
+            lambda: verify.check_bini_agreement(2, 4),
+            "g=3, n=7: compact=",
+        ),
+        (
+            "bini_double_sum",
+            _bump_at,
+            (3, 7),
+            lambda: verify.check_double_sum_identity(2, 4, 8),
+            "mismatch at g=3, n=7",
+        ),
+        (
+            "euler_phi",
+            _bump_at,
+            (6,),
+            lambda: verify.check_totient_identities(100),
+            "fails at n=6",
+        ),
+        (
             "nonequivariant_series",
             _bump_series_at,
             (3, 7),
@@ -167,6 +188,9 @@ def _bump_product_at(func, point):
         "bini-oracle",
         "schur-integrality",
         "double-sum-identity",
+        "bini-oracle-long-form",
+        "double-sum-identity-double-sum",
+        "totient-identities",
         "specialization",
         "low-degree-tables",
         "algebra-inverse-pair",
