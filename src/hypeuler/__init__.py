@@ -43,7 +43,6 @@ from .schur_transform import (
     sign_twist,
 )
 from .hyperelliptic_core import (
-    GenusParams,
     SymmetryClassTerm,
     chi_pointed,
     closed_form_coefficients,
@@ -61,7 +60,6 @@ from .bini_oracle import (
     bini_chi_long,
     bini_double_sum,
     bini_double_sum_closed_form,
-    ext_factorial,
 )
 from .verify import CheckResult, run_battery
 
@@ -87,7 +85,6 @@ __all__ = [
     "centralizer_order",
     "sign_twist",
     "format_partition",
-    "GenusParams",
     "SymmetryClassTerm",
     "orbifold_euler_char",
     "unordered_config_euler",
@@ -103,7 +100,6 @@ __all__ = [
     "bini_chi_long",
     "bini_double_sum",
     "bini_double_sum_closed_form",
-    "ext_factorial",
     "CheckResult",
     "run_battery",
 ]

@@ -31,20 +31,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .hyperelliptic_core import GenusParams
+from .hyperelliptic_core import _check_genus
 
 __all__ = [
-    "ext_factorial",
     "bini_chi_compact",
     "bini_chi_long",
     "bini_double_sum",
     "bini_double_sum_closed_form",
 ]
-
-
-def ext_factorial(k: int) -> int:
-    """k! extended by zero on negative arguments."""
-    return 0 if k < 0 else factorial(k)
 
 
 def _comb0(a: int, b: int) -> int:
@@ -60,7 +54,7 @@ def _falling_tail(g: int, n: int) -> int:
 
 
 def _check_range(g: int, n: int) -> None:
-    GenusParams(g)
+    _check_genus(g)
     if not 5 <= n <= 2 * g + 2:
         raise ValueError(
             f"point count {n} outside the admissible range 5..{2 * g + 2}"
@@ -145,7 +139,7 @@ def bini_double_sum(g: int, n: int) -> Fraction:
     Defined for every n >= 0; equals the closed form below.  Summed as
     integers over (2g+2)! n!; the terms with j > 2g+2 are zero.
     """
-    GenusParams(g)
+    _check_genus(g)
     if n < 0:
         raise ValueError(f"point count must be >= 0, got {n}")
     f = [1]
@@ -164,7 +158,7 @@ def bini_double_sum(g: int, n: int) -> Fraction:
 
 def bini_double_sum_closed_form(g: int, n: int) -> Fraction:
     """(-1)^n (2g+n-3)! / (2g (2g+1) (2g+2) n! (2g-3)!)."""
-    GenusParams(g)
+    _check_genus(g)
     if n < 0:
         raise ValueError(f"point count must be >= 0, got {n}")
     return Fraction(

@@ -16,7 +16,6 @@ sums with a sieve of its own (``verify.check_totient_identities``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
 
 Rational = Fraction
@@ -29,9 +28,6 @@ __all__ = [
 ]
 
 
-# Bounded so a long-lived process cannot grow it without limit; 2^14
-# entries hold every argument of ``verify --totient-limit 10000``.
-@lru_cache(maxsize=1 << 14)
 def euler_phi(n: int) -> int:
     """Euler's totient: the number of integers in [1, n] coprime to n.
 

@@ -19,14 +19,26 @@ tables for the low-degree mixed coefficients, and agreement with an
 independent double-sum formula (see :mod:`hypeuler.bini_oracle`).
 
 Every finite-order automorphism of a hyperelliptic curve is either the
-identity, the hyperelliptic involution, or lifts a rotation of the base
-line fixing two points.  The classes are indexed by the order n of the
-rotation, which of the 2g+2 branch points are fixed (one, none, or two --
-equivalent to n dividing 2g+1, 2g+2, or 2g), and whether the lift to the
-curve has order n or 2n.  Each class contributes a rational weight (an
-orbifold Euler characteristic of a configuration space of branch points,
-halved once for the involution and once more when the two rotation centers
-cannot be told apart) times the cycle-index factor recording point orbits.
+identity, the hyperelliptic involution, or lifts a rotation of order n of
+the base line about two centers.  The classes are indexed by n, by what
+lies over each center, and by the order L of the lift, n or 2n.  A center
+is a branch point (kind B, one fixed point), or carries a fiber of two
+points that the lift fixes (F, two fixed points) or swaps (S, one 2-cycle).
+The other N of the 2g+2 branch points lie on C* in N/n rotation orbits.
+Each class contributes a rational weight (an orbifold Euler characteristic
+of a configuration space of branch points, halved once for the involution
+and once more when the two centers cannot be told apart) times the
+cycle-index product of factors (1 + p_k t^k)^m_k, where k m_k is the Euler
+characteristic of the points whose orbit has size k (E. Getzler, Duke
+Math. J. 96 (1999)).  Every point over C* lies in an orbit of size L,
+except that for L = 2n the branch points form N/n orbits of size n.  With
+f fixed points and s swapped fibers over the centers, the factors are
+therefore given by the orbit rule
+
+    (1, f), (2, s), (n, N/n) if L = 2n, and (L, (2-2g-f-2s-[L = 2n] N)/L),
+
+where [L = 2n] is 1 if L = 2n and 0 otherwise, leaving out the first two
+when f or s is zero.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ from .schur_transform import SchurVector, p_to_schur
 from .symfunc_series import Monomial, TSeries, format_monomial, sum_of_products
 
 __all__ = [
-    "GenusParams",
     "SymmetryClassTerm",
     "orbifold_euler_char",
     "unordered_config_euler",
@@ -55,15 +66,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenusParams:
-    """Validated genus of a hyperelliptic curve; g >= 2 throughout."""
-
-    g: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
+def _check_genus(g: int) -> None:
+    # Every genus in this package is that of a hyperelliptic curve.
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class SymmetryClassTerm:
 
 def orbifold_euler_char(g: int) -> Fraction:
     """Orbifold Euler characteristic of the unpointed moduli space H_g."""
-    GenusParams(g)
+    _check_genus(g)
     return Fraction(-1, 2 * 2 * g * (2 * g + 1) * (2 * g + 2))
 
 
@@ -120,6 +126,64 @@ def rotation_class_euler(order_n: int, num_points: int) -> Fraction:
     return euler_phi(order_n) * per_rotation
 
 
+# One row per class family, in table order: its label; c, for N = 2g + c
+# branch points on C*; which divisors n > 1 of N it takes, given n and
+# q = N/n; what its weight is divided by (2 for the involution, 4 when the
+# centers are interchangeable too); and per monomial the label suffix, the
+# kinds of the two centers, and L/n for even and for odd n.
+#
+# * 2g+1: one branch point fixed.  Over the other center the sheets stay
+#   put or swap.
+# * g+1: no branch point fixed, N/n even.  The centers are interchangeable
+#   and their fibers are both fixed or both swapped; a swap doubles the
+#   lift order only for odd n.
+# * 2g+2-only: no branch point fixed, N/n odd.  One fiber is swapped and
+#   the other is not, so the centers are distinguishable.
+# * g-odd: two branch points fixed, odd n.  The centers are
+#   interchangeable and the n-th power of the lift is the identity or the
+#   involution.
+# * 2g-even: two branch points fixed, even n.  The n-th power of the lift
+#   is always the involution.
+_ROTATION_FAMILIES = (
+    ("2g+1", 1, lambda n, q: True, 2,
+     (("|a", "BF", (1, 1)), ("|b", "BS", (2, 2)))),
+    ("g+1-{parity}", 2, lambda n, q: q % 2 == 0, 4,
+     (("|a", "FF", (1, 1)), ("|b", "SS", (1, 2)))),
+    ("2g+2-only", 2, lambda n, q: q % 2 == 1, 2,
+     (("", "FS", (1, 1)),)),
+    ("g-odd", 0, lambda n, q: n % 2 == 1, 4,
+     (("|a", "BB", (1, 1)), ("|b", "BB", (2, 2)))),
+    ("2g-even", 0, lambda n, q: n % 2 == 0, 2,
+     (("", "BB", (2, 2)),)),
+)
+
+
+def _rotation_factors(
+    g: int, n: int, num_points: int, centers: str, lift: int
+) -> tuple[tuple[int, int], ...]:
+    # The orbit rule of the module docstring for an order-n rotation with
+    # centers of the given kinds, num_points branch points on C* and lift
+    # order lift.
+    fixed = centers.count("B") + 2 * centers.count("F")
+    swapped = centers.count("S")
+    factors = []
+    if fixed:
+        factors.append((1, fixed))
+    if swapped:
+        factors.append((2, swapped))
+    free = 2 - 2 * g - fixed - 2 * swapped
+    if lift == 2 * n:
+        factors.append((n, num_points // n))
+        free -= num_points
+    if free % lift:
+        raise ArithmeticError(
+            f"free points of Euler characteristic {free} do not split into "
+            f"orbits of size {lift} at g={g}, n={n}"
+        )
+    factors.append((lift, free // lift))
+    return tuple(factors)
+
+
 def symmetry_classes(g: int) -> list[SymmetryClassTerm]:
     """The full symmetry-class table for genus g.
 
@@ -128,105 +192,28 @@ def symmetry_classes(g: int) -> list[SymmetryClassTerm]:
     coefficients over the whole table sum to 1, which is exactly the
     statement that the unpointed moduli space has Euler characteristic 1.
     """
-    GenusParams(g)
+    _check_genus(g)
     e0 = orbifold_euler_char(g)
     terms = [
         SymmetryClassTerm("identity", e0, ((1, 2 - 2 * g),)),
         SymmetryClassTerm("involution", e0, ((1, 2 + 2 * g), (2, -2 * g))),
     ]
-
-    # One branch point fixed: n odd, n | 2g+1, and 2g+1 free branch points.
-    # The lift fixes the branch point; over the other rotation center the
-    # two sheets either stay put (lift order n) or swap (lift order 2n).
-    for n in divisors(2 * g + 1):
-        if n == 1:
-            continue
-        c = rotation_class_euler(n, 2 * g + 1) / 2
-        m = (2 * g + 1) // n
-        terms.append(
-            SymmetryClassTerm(f"2g+1|a:n={n}", c, ((1, 3), (n, -m)), n)
-        )
-        terms.append(
-            SymmetryClassTerm(
-                f"2g+1|b:n={n}", c, ((1, 1), (2, 1), (n, m), (2 * n, -m)), n
-            )
-        )
-
-    # No branch point fixed with (2g+2)/n even, i.e. n | g+1.  The two
-    # rotation centers are interchangeable (extra factor 1/2); the fibers
-    # over them are simultaneously fixed or simultaneously swapped, giving
-    # two monomials.  For odd n a swap doubles the generic orbit length.
-    for n in divisors(g + 1):
-        if n == 1:
-            continue
-        c = rotation_class_euler(n, 2 * g + 2) / 4
-        m = (2 * g + 2) // n
-        if n % 2 == 0:
-            terms.append(
-                SymmetryClassTerm(
-                    f"g+1-even|a:n={n}", c, ((1, 4), (n, -m)), n
+    for family, c, takes, halvings, monomials in _ROTATION_FAMILIES:
+        num_points = 2 * g + c
+        for n in divisors(num_points)[1:]:
+            if not takes(n, num_points // n):
+                continue
+            weight = rotation_class_euler(n, num_points) / halvings
+            label = family.format(parity="odd" if n % 2 else "even")
+            for suffix, centers, lift in monomials:
+                factors = _rotation_factors(
+                    g, n, num_points, centers, n * lift[n % 2]
                 )
-            )
-            terms.append(
-                SymmetryClassTerm(
-                    f"g+1-even|b:n={n}", c, ((2, 2), (n, -m)), n
+                terms.append(
+                    SymmetryClassTerm(
+                        f"{label}{suffix}:n={n}", weight, factors, n
+                    )
                 )
-            )
-        else:
-            terms.append(
-                SymmetryClassTerm(f"g+1-odd|a:n={n}", c, ((1, 4), (n, -m)), n)
-            )
-            terms.append(
-                SymmetryClassTerm(
-                    f"g+1-odd|b:n={n}",
-                    c,
-                    ((2, 2), (n, m), (2 * n, -m)),
-                    n,
-                )
-            )
-
-    # No branch point fixed with (2g+2)/n odd: n | 2g+2 but n does not
-    # divide g+1.  One center has swapped fibers and the other does not,
-    # so the centers are distinguishable.
-    for n in divisors(2 * g + 2):
-        if n == 1 or (g + 1) % n == 0:
-            continue
-        c = rotation_class_euler(n, 2 * g + 2) / 2
-        m = (2 * g + 2) // n
-        terms.append(
-            SymmetryClassTerm(
-                f"2g+2-only:n={n}", c, ((1, 2), (2, 1), (n, -m)), n
-            )
-        )
-
-    # Two branch points fixed: n | 2g with 2g free branch points.  For odd
-    # n the centers are interchangeable and the n-th power of the lift is
-    # either the identity or the involution (two monomials); for even n the
-    # n-th power is always the involution.
-    for n in divisors(g):
-        if n == 1 or n % 2 == 0:
-            continue
-        c = rotation_class_euler(n, 2 * g) / 4
-        m = (2 * g) // n
-        terms.append(
-            SymmetryClassTerm(f"g-odd|a:n={n}", c, ((1, 2), (n, -m)), n)
-        )
-        terms.append(
-            SymmetryClassTerm(
-                f"g-odd|b:n={n}", c, ((1, 2), (n, m), (2 * n, -m)), n
-            )
-        )
-    for n in divisors(2 * g):
-        if n == 1 or n % 2 != 0:
-            continue
-        c = rotation_class_euler(n, 2 * g) / 2
-        m = (2 * g) // n
-        terms.append(
-            SymmetryClassTerm(
-                f"2g-even:n={n}", c, ((1, 2), (n, m), (2 * n, -m)), n
-            )
-        )
-
     return terms
 
 
@@ -260,7 +247,7 @@ def closed_form_coefficients(g: int) -> tuple[Fraction, Fraction, Fraction]:
     points.  The values are pinned by chi(H_{g,0}) = 1, chi(H_{g,2}) = 2
     and chi(H_{g,4}) = -2g.
     """
-    GenusParams(g)
+    _check_genus(g)
     return (
         Fraction(-g, 8 * (g + 1)),
         Fraction(g, 2 * g + 1),
@@ -304,7 +291,7 @@ def chi_pointed(g: int, n: int) -> int:
     2g+2 a single factorial ratio; in between the same ratio minus a
     correction supported on the involution bracket.
     """
-    GenusParams(g)
+    _check_genus(g)
     if n < 0:
         raise ValueError(f"point count must be >= 0, got {n}")
     if n <= 5:
@@ -332,7 +319,7 @@ def low_degree_coefficient(g: int, monomial: Monomial) -> Fraction:
     equivariant series as a function of g mod 2, 3 or 4 only.  Supported
     monomials: p_2, p_1*p_2, p_1^2*p_2, p_2^2, p_3, p_1*p_3, p_4.
     """
-    GenusParams(g)
+    _check_genus(g)
     m2_0 = _indicator(g, 2, 0)
     m2_1 = _indicator(g, 2, 1)
     if monomial == ((2, 1),):

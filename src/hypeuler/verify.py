@@ -40,6 +40,7 @@ from .bini_oracle import (
 )
 from .exact_arith import euler_phi
 from .hyperelliptic_core import (
+    _check_genus,
     chi_pointed,
     equivariant_series,
     low_degree_coefficient,
@@ -431,8 +432,7 @@ def run_battery(
     roundtrip: bool = False,
 ) -> list[CheckResult]:
     """Run every check over the given genus range and point depth."""
-    if g_lo < 2:
-        raise ValueError(f"genus must be >= 2, got {g_lo}")
+    _check_genus(g_lo)
     if g_hi < g_lo:
         raise ValueError(f"empty genus range {g_lo}..{g_hi}")
     if max_points < 0:

@@ -3,11 +3,12 @@
 Everything here is deliberately implemented by a different route than the
 library: dense multivariate polynomials instead of sparse power-sum maps,
 alternant coefficient extraction instead of border-strip recursion, plain
-counting instead of closed forms.  The ``reference_*`` functions compute
-term by term what the library's integer kernels compute in one pass (series
-products one factor at a time, Schur conversion one Fraction multiply-add
-per character, Bini's sums one Fraction per term, the totient identities
-one divisor list per n) to pin those kernels.
+counting instead of closed forms, the symmetry-class table written out by
+hand instead of derived from its orbit rule.  The other ``reference_*``
+functions compute term by term what the library's integer kernels compute
+in one pass (series products one factor at a time, Schur conversion one
+Fraction multiply-add per character, Bini's sums one Fraction per term,
+the totient identities one divisor list per n) to pin those kernels.
 """
 
 from __future__ import annotations
@@ -16,9 +17,14 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
-from hypeuler.bini_oracle import _check_range, ext_factorial
+from hypeuler.bini_oracle import _check_range
 from hypeuler.exact_arith import divisors, euler_phi
-from hypeuler.hyperelliptic_core import GenusParams, symmetry_classes
+from hypeuler.hyperelliptic_core import (
+    SymmetryClassTerm,
+    _check_genus,
+    orbifold_euler_char,
+    rotation_class_euler,
+)
 from hypeuler.schur_transform import (
     SchurVector,
     centralizer_order,
@@ -122,6 +128,120 @@ def character_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the symmetry-class table written out by hand, family by family
+
+
+def reference_symmetry_classes(g: int) -> list[SymmetryClassTerm]:
+    """The full symmetry-class table for genus g.
+
+    One entry per cycle-index monomial; brackets contributing two monomials
+    with a shared weight yield two entries with equal coefficients.  The
+    coefficients over the whole table sum to 1, which is exactly the
+    statement that the unpointed moduli space has Euler characteristic 1.
+    """
+    _check_genus(g)
+    e0 = orbifold_euler_char(g)
+    terms = [
+        SymmetryClassTerm("identity", e0, ((1, 2 - 2 * g),)),
+        SymmetryClassTerm("involution", e0, ((1, 2 + 2 * g), (2, -2 * g))),
+    ]
+
+    # One branch point fixed: n odd, n | 2g+1, and 2g+1 free branch points.
+    # The lift fixes the branch point; over the other rotation center the
+    # two sheets either stay put (lift order n) or swap (lift order 2n).
+    for n in divisors(2 * g + 1):
+        if n == 1:
+            continue
+        c = rotation_class_euler(n, 2 * g + 1) / 2
+        m = (2 * g + 1) // n
+        terms.append(
+            SymmetryClassTerm(f"2g+1|a:n={n}", c, ((1, 3), (n, -m)), n)
+        )
+        terms.append(
+            SymmetryClassTerm(
+                f"2g+1|b:n={n}", c, ((1, 1), (2, 1), (n, m), (2 * n, -m)), n
+            )
+        )
+
+    # No branch point fixed with (2g+2)/n even, i.e. n | g+1.  The two
+    # rotation centers are interchangeable (extra factor 1/2); the fibers
+    # over them are simultaneously fixed or simultaneously swapped, giving
+    # two monomials.  For odd n a swap doubles the generic orbit length.
+    for n in divisors(g + 1):
+        if n == 1:
+            continue
+        c = rotation_class_euler(n, 2 * g + 2) / 4
+        m = (2 * g + 2) // n
+        if n % 2 == 0:
+            terms.append(
+                SymmetryClassTerm(
+                    f"g+1-even|a:n={n}", c, ((1, 4), (n, -m)), n
+                )
+            )
+            terms.append(
+                SymmetryClassTerm(
+                    f"g+1-even|b:n={n}", c, ((2, 2), (n, -m)), n
+                )
+            )
+        else:
+            terms.append(
+                SymmetryClassTerm(f"g+1-odd|a:n={n}", c, ((1, 4), (n, -m)), n)
+            )
+            terms.append(
+                SymmetryClassTerm(
+                    f"g+1-odd|b:n={n}",
+                    c,
+                    ((2, 2), (n, m), (2 * n, -m)),
+                    n,
+                )
+            )
+
+    # No branch point fixed with (2g+2)/n odd: n | 2g+2 but n does not
+    # divide g+1.  One center has swapped fibers and the other does not,
+    # so the centers are distinguishable.
+    for n in divisors(2 * g + 2):
+        if n == 1 or (g + 1) % n == 0:
+            continue
+        c = rotation_class_euler(n, 2 * g + 2) / 2
+        m = (2 * g + 2) // n
+        terms.append(
+            SymmetryClassTerm(
+                f"2g+2-only:n={n}", c, ((1, 2), (2, 1), (n, -m)), n
+            )
+        )
+
+    # Two branch points fixed: n | 2g with 2g free branch points.  For odd
+    # n the centers are interchangeable and the n-th power of the lift is
+    # either the identity or the involution (two monomials); for even n the
+    # n-th power is always the involution.
+    for n in divisors(g):
+        if n == 1 or n % 2 == 0:
+            continue
+        c = rotation_class_euler(n, 2 * g) / 4
+        m = (2 * g) // n
+        terms.append(
+            SymmetryClassTerm(f"g-odd|a:n={n}", c, ((1, 2), (n, -m)), n)
+        )
+        terms.append(
+            SymmetryClassTerm(
+                f"g-odd|b:n={n}", c, ((1, 2), (n, m), (2 * n, -m)), n
+            )
+        )
+    for n in divisors(2 * g):
+        if n == 1 or n % 2 != 0:
+            continue
+        c = rotation_class_euler(n, 2 * g) / 2
+        m = (2 * g) // n
+        terms.append(
+            SymmetryClassTerm(
+                f"2g-even:n={n}", c, ((1, 2), (n, m), (2 * n, -m)), n
+            )
+        )
+
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # series as lists of {exponent tuple: coefficient} dicts, one per t-degree,
 # multiplied as exponent multisets
 
@@ -194,7 +314,10 @@ def reference_product(factors, order: int) -> TSeries:
 def reference_equivariant_series(g: int, order: int) -> TSeries:
     """The class-weighted sum of per-class products, combined as series."""
     return reference_sum_of_products(
-        ((term.coefficient, term.factors) for term in symmetry_classes(g)),
+        (
+            (term.coefficient, term.factors)
+            for term in reference_symmetry_classes(g)
+        ),
         order,
     )
 
@@ -255,6 +378,11 @@ def reference_schur_dimension_sum(vec: SchurVector) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Bini's formulas summed term by term as Fractions
+
+
+def ext_factorial(k: int) -> int:
+    """k! extended by zero on negative arguments."""
+    return 0 if k < 0 else factorial(k)
 
 
 def _inv_factorial(k: int) -> Fraction:
@@ -341,7 +469,7 @@ def reference_bini_double_sum(g: int, n: int) -> Fraction:
     (-1)^(n-j-r) 2^(n-j-2r) (2g-1+n-j-r)! / (j! r! (2g+2-j)! (n-j-2r)!).
     Defined for every n >= 0; equals the closed form below.
     """
-    GenusParams(g)
+    _check_genus(g)
     if n < 0:
         raise ValueError(f"point count must be >= 0, got {n}")
     total = Fraction(0)

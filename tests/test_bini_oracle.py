@@ -8,10 +8,13 @@ from hypeuler.bini_oracle import (
     bini_chi_long,
     bini_double_sum,
     bini_double_sum_closed_form,
-    ext_factorial,
 )
 from hypeuler.hyperelliptic_core import chi_pointed
-from oracles import reference_bini_chi_long, reference_bini_double_sum
+from oracles import (
+    ext_factorial,
+    reference_bini_chi_long,
+    reference_bini_double_sum,
+)
 
 
 class TestExtFactorial:

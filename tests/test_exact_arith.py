@@ -32,12 +32,6 @@ class TestEulerPhi:
         with pytest.raises(ValueError):
             euler_phi(0)
 
-    def test_memo_is_bounded(self):
-        # Bounded, yet large enough for every argument of the default
-        # verify run (totient limit 10000).
-        maxsize = euler_phi.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 10_000
-
     @given(st.integers(1, 1000), st.integers(1, 1000))
     def test_multiplicative_on_coprime(self, a, b):
         if gcd(a, b) == 1:

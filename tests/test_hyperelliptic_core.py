@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypeuler.hyperelliptic_core import (
-    GenusParams,
+    _check_genus,
+    _rotation_factors,
     chi_pointed,
     closed_form_coefficients,
     equivariant_schur,
@@ -28,7 +29,10 @@ from hypeuler.symfunc_series import (
     specialize_p1,
     sum_of_products,
 )
-from oracles import reference_equivariant_series
+from oracles import (
+    reference_equivariant_series,
+    reference_symmetry_classes,
+)
 
 P2 = ((2, 1),)
 P4 = ((4, 1),)
@@ -44,8 +48,10 @@ class TestClassWeights:
         for g in (-1, 0, 1):
             with pytest.raises(ValueError):
                 orbifold_euler_char(g)
-            with pytest.raises(ValueError):
-                GenusParams(g)
+            with pytest.raises(
+                ValueError, match=f"^genus must be >= 2, got {g}$"
+            ):
+                _check_genus(g)
 
     def test_unordered_config_euler(self):
         assert unordered_config_euler(1) == 1
@@ -101,6 +107,24 @@ class TestSymmetryClasses:
             assert terms[0].factors == ((1, 2 - 2 * g),)
             assert terms[1].factors == ((1, 2 + 2 * g), (2, -2 * g))
             assert terms[0].coefficient == orbifold_euler_char(g)
+
+    def test_matches_hand_written_table(self):
+        # Labels, weights, factor tuples, orders and term order.
+        for g in range(2, 501):
+            assert symmetry_classes(g) == reference_symmetry_classes(g), g
+
+    def test_orbit_sizes_weigh_to_curve_euler_characteristic(self):
+        # The orbits of every class partition the curve: sum k m_k = 2-2g.
+        for g in range(2, 301):
+            for term in symmetry_classes(g):
+                total = sum(k * m for k, m in term.factors)
+                assert total == 2 - 2 * g, (g, term.label)
+
+    def test_rotation_factors_reject_fractional_orbit_count(self):
+        # At g=2 two branch centers leave -4 for the free points, which
+        # orbits of size 3 cannot make up.
+        with pytest.raises(ArithmeticError, match="orbits of size 3 at g=2"):
+            _rotation_factors(2, 3, 6, "BB", 3)
 
     def test_integer_exponents(self):
         for g in range(2, 40):

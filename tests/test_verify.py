@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import hypeuler.verify as verify
@@ -77,17 +79,43 @@ def _bump_series_at(func, point):
     return bumped
 
 
+def _raise_constant(series):
+    # The series with its t^0 coefficient raised by one.
+    one = ()
+    constant = PSPolynomial({one: series.coeffs[0].coefficient(one) + 1})
+    return TSeries(series.order, (constant,) + series.coeffs[1:])
+
+
 def _bump_product_at(func, point):
     # sum_of_products with its t^0 coefficient raised by one on the calls
     # where point(terms, order) holds.
     def bumped(terms, order):
         terms = list(terms)
         series = func(terms, order)
-        if not point(terms, order):
-            return series
-        one = ()
-        constant = PSPolynomial({one: series.coeffs[0].coefficient(one) + 1})
-        return TSeries(order, (constant,) + series.coeffs[1:])
+        return _raise_constant(series) if point(terms, order) else series
+
+    return bumped
+
+
+def _bump_constant_at(func, point):
+    # equivariant_series with its t^0 coefficient raised by one at the
+    # arguments `point`.
+    def bumped(*args):
+        series = func(*args)
+        return _raise_constant(series) if args == point else series
+
+    return bumped
+
+
+def _bump_weight_at(func, point):
+    # symmetry_classes with its first class weight raised by one at genus
+    # `point`.
+    def bumped(g):
+        terms = func(g)
+        if g == point:
+            first = terms[0]
+            terms[0] = replace(first, coefficient=first.coefficient + 1)
+        return terms
 
     return bumped
 
@@ -136,6 +164,20 @@ def _bump_product_at(func, point):
             (3, 7),
             lambda: verify.check_double_sum_identity(2, 4, 8),
             "mismatch at g=3, n=7",
+        ),
+        (
+            "symmetry_classes",
+            _bump_weight_at,
+            3,
+            lambda: verify.check_constant_term(2, 4),
+            "class weights sum != 1 at g=3",
+        ),
+        (
+            "equivariant_series",
+            _bump_constant_at,
+            (3, 0),
+            lambda: verify.check_constant_term(2, 4),
+            "t^0 coefficient != 1 at g=3",
         ),
         (
             "euler_phi",
@@ -190,6 +232,8 @@ def _bump_product_at(func, point):
         "double-sum-identity",
         "bini-oracle-long-form",
         "double-sum-identity-double-sum",
+        "constant-term-weights",
+        "constant-term-series",
         "totient-identities",
         "specialization",
         "low-degree-tables",
