@@ -51,9 +51,7 @@ from .hyperelliptic_core import (
     low_degree_coefficient,
     nonequivariant_series,
     orbifold_euler_char,
-    rotation_class_euler,
     symmetry_classes,
-    unordered_config_euler,
 )
 from .bini_oracle import (
     bini_chi_compact,
@@ -87,8 +85,6 @@ __all__ = [
     "format_partition",
     "SymmetryClassTerm",
     "orbifold_euler_char",
-    "unordered_config_euler",
-    "rotation_class_euler",
     "symmetry_classes",
     "equivariant_series",
     "equivariant_schur",

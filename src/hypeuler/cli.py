@@ -8,8 +8,9 @@ Three subcommands:
 * ``verify``: the exact cross-validation battery.
 
 Output is deterministic: terms are emitted in a fixed canonical order and
-rationals render as ``p/q`` (or a bare integer).  ``series`` builds its
-whole output as one string and writes it once; its JSON is emitted
+rationals render as ``p/q`` (or a bare integer).  ``series`` and ``euler``
+build their whole output as one string and write it once, so a request
+that fails writes nothing to stdout; ``series``'s JSON is emitted
 directly, byte for byte what ``json.dumps(doc, indent=2)`` gives for the
 same document.  Data goes to stdout, diagnostics to stderr.  Exit codes: 0
 on success, 1 when verification fails, 2 on usage or domain errors.
@@ -228,28 +229,40 @@ def _emit_series(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chi_text(n: int, chi: int) -> str:
+    # str(int) refuses values past the interpreter's digit limit.
+    try:
+        return str(chi)
+    except ValueError:
+        raise ValueError(
+            f"chi(H_(g,n)) at n={n} has more than "
+            f"{sys.get_int_max_str_digits()} digits; lower --max-points"
+        ) from None
+
+
 def _emit_euler(args: argparse.Namespace) -> int:
     if args.max_points < 0:
         raise ValueError(f"max points must be >= 0, got {args.max_points}")
     values = [
-        (n, chi_pointed(args.genus, n)) for n in range(args.max_points + 1)
+        (n, _chi_text(n, chi_pointed(args.genus, n)))
+        for n in range(args.max_points + 1)
     ]
     if args.format == "json":
         doc = {
             "genus": args.genus,
             "max_points": args.max_points,
-            "values": [{"n": n, "chi": str(chi)} for n, chi in values],
+            "values": [{"n": n, "chi": chi} for n, chi in values],
         }
-        print(json.dumps(doc, indent=2))
+        out = json.dumps(doc, indent=2)
     elif args.format == "csv":
-        print("n,chi")
-        for n, chi in values:
-            print(f"{n},{chi}")
+        out = "\n".join(["n,chi"] + [f"{n},{chi}" for n, chi in values])
     else:
-        width = max(len(str(chi)) for _, chi in values)
-        print(f"chi(H_(g,n)) for genus g = {args.genus}")
-        for n, chi in values:
-            print(f"n={n:<3d} {chi:>{width}d}")
+        width = max(len(chi) for _, chi in values)
+        out = "\n".join(
+            [f"chi(H_(g,n)) for genus g = {args.genus}"]
+            + [f"n={n:<3d} {chi:>{width}}" for n, chi in values]
+        )
+    sys.stdout.write(out + "\n")
     return 0
 
 

@@ -20,25 +20,48 @@ independent double-sum formula (see :mod:`hypeuler.bini_oracle`).
 
 Every finite-order automorphism of a hyperelliptic curve is either the
 identity, the hyperelliptic involution, or lifts a rotation of order n of
-the base line about two centers.  The classes are indexed by n, by what
-lies over each center, and by the order L of the lift, n or 2n.  A center
-is a branch point (kind B, one fixed point), or carries a fiber of two
-points that the lift fixes (F, two fixed points) or swaps (S, one 2-cycle).
-The other N of the 2g+2 branch points lie on C* in N/n rotation orbits.
-Each class contributes a rational weight (an orbifold Euler characteristic
-of a configuration space of branch points, halved once for the involution
-and once more when the two centers cannot be told apart) times the
-cycle-index product of factors (1 + p_k t^k)^m_k, where k m_k is the Euler
-characteristic of the points whose orbit has size k (E. Getzler, Duke
-Math. J. 96 (1999)).  Every point over C* lies in an orbit of size L,
-except that for L = 2n the branch points form N/n orbits of size n.  With
-f fixed points and s swapped fibers over the centers, the factors are
-therefore given by the orbit rule
+the base line about two centers.  Put the centers at 0 and infinity.  The
+curve then has the normal form (J. Bergstrom, Doc. Math. 14 (2009))
+
+    y^2 = x^e0 * prod_{i=1..q} (x^n - b_i),
+
+with e0, einf in {0, 1} saying whether 0 and infinity are branch points,
+and N = 2g+2-e0-einf = nq branch points on C* in q rotation orbits.  Let
+w = exp(pi i/n) and zeta = w^2.  A lift of x -> zeta x is y -> c y with
+c^2 = zeta^e0, since the right-hand side gains exactly the factor zeta^e0;
+so c = w^b with b in {e0, e0+n}, the two lifts differing by the
+involution.  Each center is a branch point (kind B, one fixed point), or
+carries a fiber of two points that the lift fixes (F, two fixed points) or
+swaps (S, one 2-cycle).  Over 0 the lift multiplies y by w^b, and over
+infinity it multiplies v = y/x^(g+1) by w^(b-2(g+1)): the fiber is F when
+that power of w is 1 and S when it is -1.  The n-th power of the lift is
+y -> (-1)^b y, so its order L is n for even b and 2n for odd b.
+
+The weight of a case (e0, einf, n, b) is the orbifold Euler characteristic
+of its normal forms, (-1)^(1-q) phi(n)/(4N).  The q unordered distinct
+roots b_i in C* up to scaling contribute (-1)^(q-1)/q.  The scaling
+x -> lambda x moves them by lambda^n, so the n rotations x -> zeta^j x
+fix every normal form: a further 1/n.  And zeta may be any of the phi(n)
+primitive n-th roots of unity.  Together that is (-1)^(1-q) phi(n)/N.
+The remaining 1/4 is 1/2 for the involution, which every curve carries,
+and 1/2 for naming the centers 0 and infinity.  Cases with equal factors
+give equal terms of the series, so their weights add; this merges the two
+ways of naming the centers.
+
+Each class contributes its weight times the cycle-index product of
+factors (1 + p_k t^k)^m_k, where k m_k is the Euler characteristic of the
+points whose orbit has size k (E. Getzler, Duke Math. J. 96 (1999)).
+Every point over C* lies in an orbit of size L, except that for L = 2n
+the branch points form N/n orbits of size n.  With f fixed points and s
+swapped fibers over the centers, the factors are therefore given by the
+orbit rule
 
     (1, f), (2, s), (n, N/n) if L = 2n, and (L, (2-2g-f-2s-[L = 2n] N)/L),
 
 where [L = 2n] is 1 if L = 2n and 0 otherwise, leaving out the first two
-when f or s is zero.
+when f or s is zero.  The identity and the involution have weight
+chi(M_{0,2g+2})/(2 (2g+2)!), the unordered branch points on the line
+halved for the involution.
 """
 
 from __future__ import annotations
@@ -54,8 +77,6 @@ from .symfunc_series import Monomial, TSeries, format_monomial, sum_of_products
 __all__ = [
     "SymmetryClassTerm",
     "orbifold_euler_char",
-    "unordered_config_euler",
-    "rotation_class_euler",
     "symmetry_classes",
     "equivariant_series",
     "equivariant_schur",
@@ -76,10 +97,9 @@ def _check_genus(g: int) -> None:
 class SymmetryClassTerm:
     """One symmetry-class contribution to the equivariant series.
 
-    ``factors`` lists (k, m) pairs for the product of (1 + p_k t^k)^m; the
-    divisibility condition selecting ``order_n`` guarantees every m is an
-    integer.  ``order_n`` is the rotation order on the base line, None for
-    the identity and involution classes.
+    ``factors`` lists (k, m) pairs for the product of (1 + p_k t^k)^m, with
+    every m an integer.  ``order_n`` is the rotation order on the base
+    line, None for the identity and involution classes.
     """
 
     label: str
@@ -92,70 +112,6 @@ def orbifold_euler_char(g: int) -> Fraction:
     """Orbifold Euler characteristic of the unpointed moduli space H_g."""
     _check_genus(g)
     return Fraction(-1, 2 * 2 * g * (2 * g + 1) * (2 * g + 2))
-
-
-def unordered_config_euler(k: int) -> Fraction:
-    """Orbifold Euler characteristic of k unordered points on C* up to scaling.
-
-    Equals (-1)^(1-k)/k: scaling one point to 1 leaves k-1 distinct points
-    on the line minus two points, whose unordered configuration space has
-    Euler characteristic (-1)^(k-1), and the normalized point can be chosen
-    in k ways.
-    """
-    if k < 1:
-        raise ValueError(f"point count must be >= 1, got {k}")
-    return Fraction((-1) ** ((1 - k) % 2), k)
-
-
-def rotation_class_euler(order_n: int, num_points: int) -> Fraction:
-    """Class weight of order-n rotations on N-point configurations of C*.
-
-    For n >= 2 dividing N this is (-1)^(1 - N/n) * phi(n)/N: an invariant
-    configuration is assembled from q = N/n full rotation orbits, so taking
-    n-th powers of the coordinates reduces each of the phi(n) primitive
-    rotations to a q-point configuration weighted by 1/n for the covering.
-    """
-    if order_n < 2:
-        raise ValueError(f"rotation order must be >= 2, got {order_n}")
-    if num_points < 1 or num_points % order_n != 0:
-        raise ValueError(
-            f"rotation order {order_n} must divide the point count {num_points}"
-        )
-    q = num_points // order_n
-    per_rotation = unordered_config_euler(q) * Fraction(q, num_points)
-    return euler_phi(order_n) * per_rotation
-
-
-# One row per class family, in table order: its label; c, for N = 2g + c
-# branch points on C*; which divisors n > 1 of N it takes, given n and
-# q = N/n; what its weight is divided by (2 for the involution, 4 when the
-# centers are interchangeable too); and per monomial the label suffix, the
-# kinds of the two centers, and L/n for even and for odd n.
-#
-# * 2g+1: one branch point fixed.  Over the other center the sheets stay
-#   put or swap.
-# * g+1: no branch point fixed, N/n even.  The centers are interchangeable
-#   and their fibers are both fixed or both swapped; a swap doubles the
-#   lift order only for odd n.
-# * 2g+2-only: no branch point fixed, N/n odd.  One fiber is swapped and
-#   the other is not, so the centers are distinguishable.
-# * g-odd: two branch points fixed, odd n.  The centers are
-#   interchangeable and the n-th power of the lift is the identity or the
-#   involution.
-# * 2g-even: two branch points fixed, even n.  The n-th power of the lift
-#   is always the involution.
-_ROTATION_FAMILIES = (
-    ("2g+1", 1, lambda n, q: True, 2,
-     (("|a", "BF", (1, 1)), ("|b", "BS", (2, 2)))),
-    ("g+1-{parity}", 2, lambda n, q: q % 2 == 0, 4,
-     (("|a", "FF", (1, 1)), ("|b", "SS", (1, 2)))),
-    ("2g+2-only", 2, lambda n, q: q % 2 == 1, 2,
-     (("", "FS", (1, 1)),)),
-    ("g-odd", 0, lambda n, q: n % 2 == 1, 4,
-     (("|a", "BB", (1, 1)), ("|b", "BB", (2, 2)))),
-    ("2g-even", 0, lambda n, q: n % 2 == 0, 2,
-     (("", "BB", (2, 2)),)),
-)
 
 
 def _rotation_factors(
@@ -184,11 +140,18 @@ def _rotation_factors(
     return tuple(factors)
 
 
+def _center_kind(branch: int, shift: int, n: int) -> str:
+    # A branch point, or a fiber that y -> w^shift y fixes or swaps.
+    return "B" if branch else "FS"[shift // n % 2]
+
+
 def symmetry_classes(g: int) -> list[SymmetryClassTerm]:
     """The full symmetry-class table for genus g.
 
-    One entry per cycle-index monomial; brackets contributing two monomials
-    with a shared weight yield two entries with equal coefficients.  The
+    The identity and the involution come first, then one entry per
+    rotation class in the order the normal forms are enumerated (see the
+    module docstring), labelled by the sorted kinds of its two centers,
+    its order n and its lift order L, e.g. ``BF:n=5:L=5``.  The
     coefficients over the whole table sum to 1, which is exactly the
     statement that the unpointed moduli space has Euler characteristic 1.
     """
@@ -198,22 +161,30 @@ def symmetry_classes(g: int) -> list[SymmetryClassTerm]:
         SymmetryClassTerm("identity", e0, ((1, 2 - 2 * g),)),
         SymmetryClassTerm("involution", e0, ((1, 2 + 2 * g), (2, -2 * g))),
     ]
-    for family, c, takes, halvings, monomials in _ROTATION_FAMILIES:
-        num_points = 2 * g + c
+    # Weights summed by factor tuple (module docstring), as numerators over
+    # 4 * scale, which every 4N divides.
+    scale = 2 * g * (2 * g + 1) * (2 * g + 2)
+    names: dict[tuple[tuple[int, int], ...], tuple[str, int]] = {}
+    numerators: dict[tuple[tuple[int, int], ...], int] = {}
+    for eps0, eps_inf in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        num_points = 2 * g + 2 - eps0 - eps_inf
         for n in divisors(num_points)[1:]:
-            if not takes(n, num_points // n):
-                continue
-            weight = rotation_class_euler(n, num_points) / halvings
-            label = family.format(parity="odd" if n % 2 else "even")
-            for suffix, centers, lift in monomials:
-                factors = _rotation_factors(
-                    g, n, num_points, centers, n * lift[n % 2]
-                )
-                terms.append(
-                    SymmetryClassTerm(
-                        f"{label}{suffix}:n={n}", weight, factors, n
-                    )
-                )
+            weight = (-1) ** (num_points // n - 1) * euler_phi(n)
+            weight *= scale // num_points
+            for b in (eps0, eps0 + n):
+                kinds = "".join(sorted(
+                    _center_kind(eps0, b, n)
+                    + _center_kind(eps_inf, b - 2 * g - 2, n)
+                ))
+                lift = n if b % 2 == 0 else 2 * n
+                factors = _rotation_factors(g, n, num_points, kinds, lift)
+                names.setdefault(factors, (f"{kinds}:n={n}:L={lift}", n))
+                numerators[factors] = numerators.get(factors, 0) + weight
+    terms.extend(
+        SymmetryClassTerm(label, Fraction(numerators[factors], 4 * scale),
+                          factors, n)
+        for factors, (label, n) in names.items()
+    )
     return terms
 
 

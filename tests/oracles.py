@@ -4,7 +4,8 @@ Everything here is deliberately implemented by a different route than the
 library: dense multivariate polynomials instead of sparse power-sum maps,
 alternant coefficient extraction instead of border-strip recursion, plain
 counting instead of closed forms, the symmetry-class table written out by
-hand instead of derived from its orbit rule.  The other ``reference_*``
+hand, family by family, with weights from its own ``rotation_class_euler``,
+instead of enumerated from the curve's normal form.  The other ``reference_*``
 functions compute term by term what the library's integer kernels compute
 in one pass (series products one factor at a time, Schur conversion one
 Fraction multiply-add per character, Bini's sums one Fraction per term,
@@ -23,7 +24,6 @@ from hypeuler.hyperelliptic_core import (
     SymmetryClassTerm,
     _check_genus,
     orbifold_euler_char,
-    rotation_class_euler,
 )
 from hypeuler.schur_transform import (
     SchurVector,
@@ -129,6 +129,38 @@ def character_oracle(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 # ---------------------------------------------------------------------------
 # the symmetry-class table written out by hand, family by family
+
+
+def unordered_config_euler(k: int) -> Fraction:
+    """Orbifold Euler characteristic of k unordered points on C* up to scaling.
+
+    Equals (-1)^(1-k)/k: scaling one point to 1 leaves k-1 distinct points
+    on the line minus two points, whose unordered configuration space has
+    Euler characteristic (-1)^(k-1), and the normalized point can be chosen
+    in k ways.
+    """
+    if k < 1:
+        raise ValueError(f"point count must be >= 1, got {k}")
+    return Fraction((-1) ** ((1 - k) % 2), k)
+
+
+def rotation_class_euler(order_n: int, num_points: int) -> Fraction:
+    """Class weight of order-n rotations on N-point configurations of C*.
+
+    For n >= 2 dividing N this is (-1)^(1 - N/n) * phi(n)/N: an invariant
+    configuration is assembled from q = N/n full rotation orbits, so taking
+    n-th powers of the coordinates reduces each of the phi(n) primitive
+    rotations to a q-point configuration weighted by 1/n for the covering.
+    """
+    if order_n < 2:
+        raise ValueError(f"rotation order must be >= 2, got {order_n}")
+    if num_points < 1 or num_points % order_n != 0:
+        raise ValueError(
+            f"rotation order {order_n} must divide the point count {num_points}"
+        )
+    q = num_points // order_n
+    per_rotation = unordered_config_euler(q) * Fraction(q, num_points)
+    return euler_phi(order_n) * per_rotation
 
 
 def reference_symmetry_classes(g: int) -> list[SymmetryClassTerm]:

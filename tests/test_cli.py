@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -350,6 +351,37 @@ class TestEulerCommand:
             "3,0",
             "4,-6",
         ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("limit", [0, 4300])
+    def test_all_or_nothing_past_digit_limit(self, capsys, fmt, limit):
+        # chi(H_(2,n)) has more than 4300 digits (CPython's default int ->
+        # str limit) from n = 1558 on: the whole table or nothing is written.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int -> str digit limit")
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run_capture(
+                capsys,
+                ["euler", "--genus", "2", "--max-points", "2000",
+                 "--format", fmt],
+            )
+        finally:
+            sys.set_int_max_str_digits(default)
+        if limit:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: chi(H_(g,n)) at n=1558 has more than 4300 digits; "
+                "lower --max-points\n"
+            )
+            return
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            values = json.loads(out)["values"]
+        else:
+            values = out.splitlines()[1:]
+        assert len(values) == 2001
 
 
 VERIFY_ROUNDTRIP_OUTPUT = (

@@ -14,9 +14,7 @@ from hypeuler.hyperelliptic_core import (
     low_degree_coefficient,
     nonequivariant_series,
     orbifold_euler_char,
-    rotation_class_euler,
     symmetry_classes,
-    unordered_config_euler,
 )
 from hypeuler.schur_transform import (
     SchurVector,
@@ -32,6 +30,8 @@ from hypeuler.symfunc_series import (
 from oracles import (
     reference_equivariant_series,
     reference_symmetry_classes,
+    rotation_class_euler,
+    unordered_config_euler,
 )
 
 P2 = ((2, 1),)
@@ -72,34 +72,37 @@ class TestClassWeights:
 
 class TestSymmetryClasses:
     def test_genus_two_structure(self):
+        # The hand-typed labels of reference_symmetry_classes(2) map to
+        # the derived ones as 2g+1|a:n=5 -> BF:n=5:L=5,
+        # 2g+1|b:n=5 -> BS:n=5:L=10, g+1-odd|a:n=3 -> FF:n=3:L=3,
+        # g+1-odd|b:n=3 -> SS:n=3:L=6, 2g+2-only:n=2 -> FS:n=2:L=2,
+        # 2g+2-only:n=6 -> FS:n=6:L=6, 2g-even:n=2 -> BB:n=2:L=4 and
+        # 2g-even:n=4 -> BB:n=4:L=8.
         terms = symmetry_classes(2)
-        by_label = {t.label: t for t in terms}
-        assert "identity" in by_label and "involution" in by_label
-        # divisor families for g = 2: {5} | 2g+1, none even | g+1 = 3,
-        # {3} odd | 3, {2, 6} | 6 but not 3, none odd | g = 2, {2, 4} even | 4
-        orders = sorted(
-            (t.label.split(":")[0], t.order_n)
-            for t in terms
-            if t.order_n is not None
-        )
-        assert orders == sorted(
-            [
-                ("2g+1|a", 5),
-                ("2g+1|b", 5),
-                ("g+1-odd|a", 3),
-                ("g+1-odd|b", 3),
-                ("2g+2-only", 2),
-                ("2g+2-only", 6),
-                ("2g-even", 2),
-                ("2g-even", 4),
-            ]
-        )
+        assert [t.label for t in terms] == [
+            "identity",
+            "involution",
+            "FS:n=2:L=2",
+            "FF:n=3:L=3",
+            "SS:n=3:L=6",
+            "FS:n=6:L=6",
+            "BF:n=5:L=5",
+            "BS:n=5:L=10",
+            "BB:n=2:L=4",
+            "BB:n=4:L=8",
+        ]
+        for t in terms[2:]:
+            assert t.label.endswith(f":n={t.order_n}:L={t.factors[-1][0]}")
 
     def test_genus_two_coefficients(self):
-        terms = symmetry_classes(2)
-        fixed_lift = [t for t in terms if t.label == "2g+1|a:n=5"]
-        assert fixed_lift[0].coefficient == Fraction(2, 5)
-        assert fixed_lift[0].factors == ((1, 3), (5, -1))
+        by_label = {t.label: t for t in symmetry_classes(2)}
+        assert by_label["BF:n=5:L=5"].coefficient == Fraction(2, 5)
+        assert by_label["BF:n=5:L=5"].factors == ((1, 3), (5, -1))
+        assert by_label["BS:n=5:L=10"].factors == (
+            (1, 1), (2, 1), (5, 1), (10, -1)
+        )
+        assert by_label["FS:n=6:L=6"].coefficient == Fraction(1, 6)
+        assert by_label["BB:n=2:L=4"].coefficient == Fraction(-1, 8)
 
     def test_identity_and_involution_factors(self):
         for g in (2, 5, 9):
@@ -109,9 +112,25 @@ class TestSymmetryClasses:
             assert terms[0].coefficient == orbifold_euler_char(g)
 
     def test_matches_hand_written_table(self):
-        # Labels, weights, factor tuples, orders and term order.
-        for g in range(2, 501):
-            assert symmetry_classes(g) == reference_symmetry_classes(g), g
+        # Equal weight and order per factor tuple, and as many terms, with
+        # the identity and involution first.
+        def by_factors(terms):
+            return {t.factors: (t.coefficient, t.order_n) for t in terms}
+
+        for g in range(2, 1001):
+            got, want = symmetry_classes(g), reference_symmetry_classes(g)
+            assert got[:2] == want[:2], g
+            assert len(got) == len(want), g
+            assert by_factors(got) == by_factors(want), g
+
+    def test_identity_weight_is_genus_zero_euler_characteristic(self):
+        # e0 = chi(M_(0,2g+2)) / (2 (2g+2)!), chi(M_(0,N)) = (-1)^(N-3)(N-3)!.
+        for g in range(2, 301):
+            points = 2 * g + 2
+            chi_m0 = (-1) ** (points - 3) * factorial(points - 3)
+            e0 = Fraction(chi_m0, 2 * factorial(points))
+            terms = symmetry_classes(g)
+            assert terms[0].coefficient == terms[1].coefficient == e0, g
 
     def test_orbit_sizes_weigh_to_curve_euler_characteristic(self):
         # The orbits of every class partition the curve: sum k m_k = 2-2g.
@@ -137,16 +156,18 @@ class TestSymmetryClasses:
             assert sum(t.coefficient for t in symmetry_classes(g)) == 1
 
     def test_shared_bracket_weights(self):
-        # two-monomial families carry pairwise equal weights
+        # Rotation terms with as many branch-point centers and the same n
+        # share one weight.
         for g in (2, 3, 6, 11):
-            terms = symmetry_classes(g)
-            for t in terms:
-                family, _, rest = t.label.partition("|")
-                if rest.startswith("a"):
-                    twin = f"{family}|b{rest[1:]}"
-                    matches = [u for u in terms if u.label == twin]
-                    assert len(matches) == 1
-                    assert matches[0].coefficient == t.coefficient
+            weights = {}
+            pairs = 0
+            for t in symmetry_classes(g)[2:]:
+                key = (t.label.split(":")[0].count("B"), t.order_n)
+                if key in weights:
+                    assert weights[key] == t.coefficient, (g, t.label)
+                    pairs += 1
+                weights[key] = t.coefficient
+            assert pairs, g
 
 
 class TestEquivariantSeries:
