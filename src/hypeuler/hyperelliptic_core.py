@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import perm
 
 from .exact_arith import divisors, euler_phi, gen_binomial
 from .schur_transform import SchurVector, p_to_schur
@@ -260,7 +260,9 @@ def chi_pointed(g: int, n: int) -> int:
 
     Piecewise: pinned values 1, 2, 2, 0, -2g, 0 for n = 0..5; for n above
     2g+2 a single factorial ratio; in between the same ratio minus a
-    correction supported on the involution bracket.
+    correction supported on the involution bracket.  Both ratios are
+    falling products, (2g+n-3)!/(2g-3)! of n factors and (2g-1)!/(2g+2-n)!
+    of n-3, so the cost follows n and not the genus.
     """
     _check_genus(g)
     if n < 0:
@@ -268,11 +270,11 @@ def chi_pointed(g: int, n: int) -> int:
     if n <= 5:
         return -2 * g if n == 4 else _SMALL_CHI[n]
     lead = Fraction(
-        (-1) ** (n + 1) * factorial(2 * g + n - 3),
-        2 * 2 * g * (2 * g + 1) * (2 * g + 2) * factorial(2 * g - 3),
+        (-1) ** (n + 1) * perm(2 * g + n - 3, n),
+        2 * 2 * g * (2 * g + 1) * (2 * g + 2),
     )
     if n <= 2 * g + 2:
-        lead -= Fraction(factorial(2 * g - 1), 2 * factorial(2 * g + 2 - n))
+        lead -= Fraction(perm(2 * g - 1, n - 3), 2)
     if lead.denominator != 1:
         raise ArithmeticError(f"chi(H_({g},{n})) is not an integer: {lead}")
     return int(lead)

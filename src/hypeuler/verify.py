@@ -20,7 +20,10 @@ in exact arithmetic, so every comparison is at zero tolerance:
 
 The functions are pure and parameterized by their ranges; the command-line
 ``verify`` subcommand and the acceptance tests both drive them, so each
-check has one definition.
+check has one definition.  Each check names itself once, in its ``_check``
+decorator, and has one failure path: its body returns the PASS detail or
+raises ``_Mismatch`` with the first counterexample, and the decorator
+turns either outcome into the ``CheckResult``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import groupby
 from math import factorial, lcm
 from operator import mul
+from typing import Callable, ParamSpec
 
 from .bini_oracle import (
     bini_chi_compact,
@@ -75,35 +80,66 @@ class CheckResult:
     detail: str
 
 
+class _Mismatch(Exception):
+    """A check's first counterexample; its message is the FAIL detail."""
+
+
+_P = ParamSpec("_P")
+
+
+def _check(
+    name: str,
+) -> Callable[[Callable[_P, str]], Callable[_P, CheckResult]]:
+    """Give a check its name and its one failure path.
+
+    The body returns its PASS detail, or raises ``_Mismatch(detail)`` at
+    its first counterexample; either way the wrapper returns one
+    ``CheckResult`` named ``name``.
+    """
+
+    def decorate(body: Callable[_P, str]) -> Callable[_P, CheckResult]:
+        @wraps(body)
+        def check(*args: _P.args, **kwargs: _P.kwargs) -> CheckResult:
+            try:
+                return CheckResult(name, True, body(*args, **kwargs))
+            except _Mismatch as exc:
+                return CheckResult(name, False, str(exc))
+
+        return check
+
+    return decorate
+
+
 # Default depths: c in n <= 2g+c.  Each check's loop and the range text it
 # reports read the same constant.
 _SPECIALIZATION_DEPTH = 4
 _CLOSED_FORMS_DEPTH = 6
 # Bini's formulas hold on lo <= n <= 2g+c, for (lo, c) below.
 _BINI_RANGE = (5, 2)
+# The battery's fixed ranges: the double-sum identity on n = 0..30, the
+# totient identities on 1..10^4, and the Schur checks on at most 10 points.
+_DOUBLE_SUM_DEPTH = 30
+_TOTIENT_LIMIT = 10_000
+_SCHUR_MAX_POINTS = 10
 
 _ONE = PSPolynomial({(): 1})
 
 
-def check_specialization(g_lo: int, g_hi: int, order: int | None = None) -> CheckResult:
+@_check("specialization")
+def check_specialization(g_lo: int, g_hi: int, order: int | None = None) -> str:
     """Series at p_1 = 1, p_k = 0 equals the non-equivariant closed form."""
     for g in range(g_lo, g_hi + 1):
         n_max = order if order is not None else 2 * g + _SPECIALIZATION_DEPTH
         got = specialize_p1(equivariant_series(g, n_max))
         want = nonequivariant_series(g, n_max)
         if got != want:
-            return CheckResult(
-                "specialization",
-                False,
-                f"mismatch at g={g}: {got} != {want}",
-            )
+            raise _Mismatch(f"mismatch at g={g}: {got} != {want}")
     depth = str(order) if order is not None else f"2g+{_SPECIALIZATION_DEPTH}"
-    return CheckResult(
-        "specialization", True, f"g={g_lo}..{g_hi}, degrees 0..{depth}"
-    )
+    return f"g={g_lo}..{g_hi}, degrees 0..{depth}"
 
 
-def check_closed_forms(g_lo: int, g_hi: int, order: int | None = None) -> CheckResult:
+@_check("closed-forms")
+def check_closed_forms(g_lo: int, g_hi: int, order: int | None = None) -> str:
     """n! times the series coefficient equals the piecewise integer formula."""
     for g in range(g_lo, g_hi + 1):
         n_max = order if order is not None else 2 * g + _CLOSED_FORMS_DEPTH
@@ -112,22 +148,15 @@ def check_closed_forms(g_lo: int, g_hi: int, order: int | None = None) -> CheckR
         for n in range(n_max + 1):
             chi = chi_pointed(g, n)
             if factorial(n) * series[n] != chi:
-                return CheckResult(
-                    "closed-forms", False, f"mismatch at g={g}, n={n}"
-                )
+                raise _Mismatch(f"mismatch at g={g}, n={n}")
             if n < 6 and chi != pinned[n]:
-                return CheckResult(
-                    "closed-forms",
-                    False,
-                    f"pinned value broken at g={g}, n={n}: {chi}",
-                )
+                raise _Mismatch(f"pinned value broken at g={g}, n={n}: {chi}")
     depth = str(order) if order is not None else f"2g+{_CLOSED_FORMS_DEPTH}"
-    return CheckResult(
-        "closed-forms", True, f"g={g_lo}..{g_hi}, n=0..{depth}"
-    )
+    return f"g={g_lo}..{g_hi}, n=0..{depth}"
 
 
-def check_bini_agreement(g_lo: int, g_hi: int) -> CheckResult:
+@_check("bini-oracle")
+def check_bini_agreement(g_lo: int, g_hi: int) -> str:
     """Long form = compact form = integer formula on 5 <= n <= 2g+2."""
     n_lo, depth = _BINI_RANGE
     for g in range(g_lo, g_hi + 1):
@@ -136,31 +165,22 @@ def check_bini_agreement(g_lo: int, g_hi: int) -> CheckResult:
             long_form = bini_chi_long(g, n)
             chi = chi_pointed(g, n)
             if not (compact == long_form == chi):
-                return CheckResult(
-                    "bini-oracle",
-                    False,
-                    f"g={g}, n={n}: compact={compact}, long={long_form}, chi={chi}",
+                raise _Mismatch(
+                    f"g={g}, n={n}: compact={compact}, long={long_form}, chi={chi}"
                 )
             if compact.denominator != 1:
-                return CheckResult(
-                    "bini-oracle", False, f"non-integer value at g={g}, n={n}"
-                )
-    return CheckResult(
-        "bini-oracle", True, f"g={g_lo}..{g_hi}, n={n_lo}..2g+{depth}"
-    )
+                raise _Mismatch(f"non-integer value at g={g}, n={n}")
+    return f"g={g_lo}..{g_hi}, n={n_lo}..2g+{depth}"
 
 
-def check_double_sum_identity(g_lo: int, g_hi: int, depth: int) -> CheckResult:
+@_check("double-sum-identity")
+def check_double_sum_identity(g_lo: int, g_hi: int, depth: int) -> str:
     """The signed double sum equals its factorial-ratio closed form."""
     for g in range(g_lo, g_hi + 1):
         for n in range(depth + 1):
             if bini_double_sum(g, n) != bini_double_sum_closed_form(g, n):
-                return CheckResult(
-                    "double-sum-identity", False, f"mismatch at g={g}, n={n}"
-                )
-    return CheckResult(
-        "double-sum-identity", True, f"g={g_lo}..{g_hi}, n=0..{depth}"
-    )
+                raise _Mismatch(f"mismatch at g={g}, n={n}")
+    return f"g={g_lo}..{g_hi}, n=0..{depth}"
 
 
 _LOW_DEGREE_MONOMIALS = (
@@ -174,7 +194,8 @@ _LOW_DEGREE_MONOMIALS = (
 )
 
 
-def check_low_degree_tables(g_lo: int, g_hi: int) -> CheckResult:
+@_check("low-degree-tables")
+def check_low_degree_tables(g_lo: int, g_hi: int) -> str:
     """Series coefficients up to t^4 match the residue-class closed forms."""
     p2 = ((2, 1),)
     p4 = ((4, 1),)
@@ -187,38 +208,30 @@ def check_low_degree_tables(g_lo: int, g_hi: int) -> CheckResult:
             got = series.coeffs[weight].coefficient(mono)
             want = low_degree_coefficient(g, mono)
             if got != want:
-                return CheckResult(
-                    "low-degree-tables",
-                    False,
+                raise _Mismatch(
                     f"g={g}, {format_monomial(mono)}: series gives {got}, "
-                    f"closed form {want}",
+                    f"closed form {want}"
                 )
         if low_degree_coefficient(g, p2) != p2_by_parity[g % 2]:
-            return CheckResult(
-                "low-degree-tables", False, f"p2 residue value broken at g={g}"
-            )
+            raise _Mismatch(f"p2 residue value broken at g={g}")
         if low_degree_coefficient(g, p4) != p4_by_residue[g % 4]:
-            return CheckResult(
-                "low-degree-tables", False, f"p4 residue value broken at g={g}"
-            )
-    return CheckResult("low-degree-tables", True, f"g={g_lo}..{g_hi}")
+            raise _Mismatch(f"p4 residue value broken at g={g}")
+    return f"g={g_lo}..{g_hi}"
 
 
-def check_constant_term(g_lo: int, g_hi: int) -> CheckResult:
+@_check("constant-term")
+def check_constant_term(g_lo: int, g_hi: int) -> str:
     """The t^0 coefficient of the series is 1 for every genus."""
     for g in range(g_lo, g_hi + 1):
         if sum(t.coefficient for t in symmetry_classes(g)) != 1:
-            return CheckResult(
-                "constant-term", False, f"class weights sum != 1 at g={g}"
-            )
+            raise _Mismatch(f"class weights sum != 1 at g={g}")
         if equivariant_series(g, 0).coeffs[0] != _ONE:
-            return CheckResult(
-                "constant-term", False, f"t^0 coefficient != 1 at g={g}"
-            )
-    return CheckResult("constant-term", True, f"g={g_lo}..{g_hi}")
+            raise _Mismatch(f"t^0 coefficient != 1 at g={g}")
+    return f"g={g_lo}..{g_hi}"
 
 
-def check_totient_identities(limit: int) -> CheckResult:
+@_check("totient-identities")
+def check_totient_identities(limit: int) -> str:
     """Divisor sums of the totient behave on 1..limit.
 
     sum_{a|n} phi(a) = n, and for even n also sum_{a|n} (-1)^(n/a) phi(a)
@@ -235,31 +248,22 @@ def check_totient_identities(limit: int) -> CheckResult:
             even[n] += phi
     for n in range(1, limit + 1):
         if odd[n] + even[n] != n or (n % 2 == 0 and even[n] != odd[n]):
-            return CheckResult("totient-identities", False, f"fails at n={n}")
-    return CheckResult("totient-identities", True, f"n=1..{limit}")
+            raise _Mismatch(f"fails at n={n}")
+    return f"n=1..{limit}"
 
 
-def check_schur_integrality(g_lo: int, g_hi: int, n_max: int) -> CheckResult:
+@_check("schur-integrality")
+def check_schur_integrality(g_lo: int, g_hi: int, n_max: int) -> str:
     """Schur coefficients are integers and weight the dimensions to chi."""
     for g in range(g_lo, g_hi + 1):
         series = equivariant_series(g, n_max)
         for n in range(n_max + 1):
             vec = p_to_schur(series.coeffs[n], n)
             if not vec.is_integer_valued():
-                return CheckResult(
-                    "schur-integrality",
-                    False,
-                    f"non-integer multiplicity at g={g}, n={n}",
-                )
+                raise _Mismatch(f"non-integer multiplicity at g={g}, n={n}")
             if schur_dimension_sum(vec) != chi_pointed(g, n):
-                return CheckResult(
-                    "schur-integrality",
-                    False,
-                    f"dimension sum mismatch at g={g}, n={n}",
-                )
-    return CheckResult(
-        "schur-integrality", True, f"g={g_lo}..{g_hi}, n=0..{n_max}"
-    )
+                raise _Mismatch(f"dimension sum mismatch at g={g}, n={n}")
+    return f"g={g_lo}..{g_hi}, n=0..{n_max}"
 
 
 def _naive_series_mul(a: TSeries, b: TSeries) -> TSeries:
@@ -326,7 +330,8 @@ def _random_factors(rng: random.Random) -> list[tuple[int, int]]:
     ]
 
 
-def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
+@_check("algebra")
+def check_algebra(seed: int = 7, samples: int = 150) -> str:
     """Algebraic self-consistency of the symmetric-function layer."""
     # Inverse binomial pairs: (1+p_k t^k)^m (1+p_k t^k)^(-m) = 1.
     units = {
@@ -343,10 +348,8 @@ def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
             for order, unit in units.items():
                 prod = _naive_series_mul(factor[m, order], factor[-m, order])
                 if prod != unit:
-                    return CheckResult(
-                        "algebra",
-                        False,
-                        f"binomial inverse pair fails: k={k}, m={m}, N={order}",
+                    raise _Mismatch(
+                        f"binomial inverse pair fails: k={k}, m={m}, N={order}"
                     )
     # Ring axioms of the kernel: multiplicative in the factor list against
     # the naive product, blind to factor order, linear in the weights.
@@ -360,19 +363,13 @@ def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
         series_g = sum_of_products([(1, g)], order)
         product = sum_of_products([(1, f + g)], order)
         if product != _naive_series_mul(series_f, series_g):
-            return CheckResult(
-                "algebra", False, f"product oracle mismatch: {sample}"
-            )
+            raise _Mismatch(f"product oracle mismatch: {sample}")
         shuffled = rng.sample(f + g, len(f) + len(g))
         if sum_of_products([(1, shuffled)], order) != product:
-            return CheckResult(
-                "algebra", False, f"factor order matters: {sample}"
-            )
+            raise _Mismatch(f"factor order matters: {sample}")
         combined = sum_of_products([(a, f), (b, g)], order)
         if combined != _naive_combine(a, series_f, b, series_g):
-            return CheckResult(
-                "algebra", False, f"linearity fails: a={a}, b={b}, {sample}"
-            )
+            raise _Mismatch(f"linearity fails: a={a}, b={b}, {sample}")
     # Character orthogonality: sum_lam chi(mu) chi(nu) = z_mu [mu == nu].
     for n in range(9):
         parts = partitions_of(n)
@@ -382,12 +379,10 @@ def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
                 total = sum(map(mul, chi_mu, chi_nu))
                 want = centralizer_order(mu) if mu == nu else 0
                 if total != want:
-                    return CheckResult(
-                        "algebra",
-                        False,
+                    raise _Mismatch(
                         f"orthogonality fails at n={n}, "
                         f"mu={format_partition(mu)}, "
-                        f"nu={format_partition(nu)}",
+                        f"nu={format_partition(nu)}"
                     )
     # Power-sum <-> Schur round trip on basis vectors.
     for n in range(8):
@@ -395,67 +390,51 @@ def check_algebra(seed: int = 7, samples: int = 150) -> CheckResult:
             unit = SchurVector(n, {lam: Fraction(1)})
             back = p_to_schur(schur_to_p(unit), n)
             if back != unit:
-                return CheckResult(
-                    "algebra",
-                    False,
-                    f"round trip fails at {format_partition(lam)}",
-                )
-    return CheckResult(
-        "algebra",
-        True,
+                raise _Mismatch(f"round trip fails at {format_partition(lam)}")
+    return (
         f"inverse pairs, ring axioms ({samples} samples), "
-        "orthogonality n<=8, round trip n<=7",
+        "orthogonality n<=8, round trip n<=7"
     )
 
 
-def check_basis_roundtrip(g_lo: int, g_hi: int, n_max: int) -> CheckResult:
+@_check("basis-roundtrip")
+def check_basis_roundtrip(g_lo: int, g_hi: int, n_max: int) -> str:
     """Schur output converts back to the power-sum coefficients exactly."""
     for g in range(g_lo, g_hi + 1):
         series = equivariant_series(g, n_max)
         for n in range(n_max + 1):
             poly = series.coeffs[n]
             if schur_to_p(p_to_schur(poly, n)) != poly:
-                return CheckResult(
-                    "basis-roundtrip", False, f"mismatch at g={g}, n={n}"
-                )
-    return CheckResult(
-        "basis-roundtrip", True, f"g={g_lo}..{g_hi}, n=0..{n_max}"
-    )
+                raise _Mismatch(f"mismatch at g={g}, n={n}")
+    return f"g={g_lo}..{g_hi}, n=0..{n_max}"
 
 
 def run_battery(
-    g_lo: int,
-    g_hi: int,
-    max_points: int,
-    double_sum_depth: int = 30,
-    totient_limit: int = 10_000,
-    roundtrip: bool = False,
+    g_lo: int, g_hi: int, max_points: int, roundtrip: bool = False
 ) -> list[CheckResult]:
-    """Run every check over the given genus range and point depth."""
+    """Run every check over the given genus range and point depth.
+
+    The double-sum depth, the totient limit and the Schur checks' point
+    cap are the fixed constants above; call a check directly for a wider
+    range.
+    """
     _check_genus(g_lo)
     if g_hi < g_lo:
         raise ValueError(f"empty genus range {g_lo}..{g_hi}")
     if max_points < 0:
         raise ValueError(f"max points must be >= 0, got {max_points}")
-    if double_sum_depth < 0:
-        raise ValueError(
-            f"double-sum depth must be >= 0, got {double_sum_depth}"
-        )
-    if totient_limit < 1:
-        raise ValueError(f"totient limit must be >= 1, got {totient_limit}")
+    schur_points = min(max_points, _SCHUR_MAX_POINTS)
     results = [
         check_specialization(g_lo, g_hi, max_points),
         check_closed_forms(g_lo, g_hi, max_points),
         check_bini_agreement(g_lo, g_hi),
-        check_double_sum_identity(g_lo, g_hi, double_sum_depth),
+        check_double_sum_identity(g_lo, g_hi, _DOUBLE_SUM_DEPTH),
         check_low_degree_tables(g_lo, g_hi),
         check_constant_term(g_lo, g_hi),
-        check_totient_identities(totient_limit),
-        check_schur_integrality(g_lo, g_hi, min(max_points, 10)),
+        check_totient_identities(_TOTIENT_LIMIT),
+        check_schur_integrality(g_lo, g_hi, schur_points),
         check_algebra(),
     ]
     if roundtrip:
-        results.append(
-            check_basis_roundtrip(g_lo, g_hi, min(max_points, 10))
-        )
+        results.append(check_basis_roundtrip(g_lo, g_hi, schur_points))
     return results

@@ -9,7 +9,9 @@ instead of enumerated from the curve's normal form.  The other ``reference_*``
 functions compute term by term what the library's integer kernels compute
 in one pass (series products one factor at a time, Schur conversion one
 Fraction multiply-add per character, Bini's sums one Fraction per term,
-the totient identities one divisor list per n) to pin those kernels.
+the totient identities one divisor list per n) to pin those kernels, or
+evaluate as factorial ratios the closed forms that the library evaluates
+as falling products.
 """
 
 from __future__ import annotations
@@ -518,3 +520,28 @@ def reference_bini_double_sum(g: int, n: int) -> Fraction:
                 * _inv_factorial(n - j - 2 * r)
             )
     return total
+
+
+# ---------------------------------------------------------------------------
+# the closed forms as the factorial ratios they are written with
+
+
+def reference_chi_pointed(g: int, n: int) -> int:
+    """chi(H_{g,n}): pinned values up to n = 5, factorial ratios above."""
+    if n <= 5:
+        return (1, 2, 2, 0, -2 * g, 0)[n]
+    lead = Fraction(
+        (-1) ** (n + 1) * factorial(2 * g + n - 3),
+        4 * g * (2 * g + 1) * (2 * g + 2) * factorial(2 * g - 3),
+    )
+    if n <= 2 * g + 2:
+        lead -= Fraction(factorial(2 * g - 1), 2 * factorial(2 * g + 2 - n))
+    return int(lead)
+
+
+def reference_bini_double_sum_closed_form(g: int, n: int) -> Fraction:
+    """(-1)^n (2g+n-3)! / (2g (2g+1) (2g+2) n! (2g-3)!)."""
+    return Fraction(
+        (-1) ** n * factorial(2 * g + n - 3),
+        2 * g * (2 * g + 1) * (2 * g + 2) * factorial(n) * factorial(2 * g - 3),
+    )

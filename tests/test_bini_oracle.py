@@ -14,6 +14,7 @@ from oracles import (
     ext_factorial,
     reference_bini_chi_long,
     reference_bini_double_sum,
+    reference_bini_double_sum_closed_form,
 )
 
 
@@ -86,6 +87,13 @@ class TestDoubleSumIdentity:
                 assert bini_double_sum(g, n) == bini_double_sum_closed_form(
                     g, n
                 ), (g, n)
+
+    def test_closed_form_matches_factorial_form(self):
+        for g in range(2, 60):
+            for n in range(2 * g + 20):
+                assert bini_double_sum_closed_form(
+                    g, n
+                ) == reference_bini_double_sum_closed_form(g, n), (g, n)
 
     def test_rejects_negative_points(self):
         with pytest.raises(ValueError):

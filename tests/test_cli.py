@@ -4,12 +4,16 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hypeuler.cli as cli
-from hypeuler.hyperelliptic_core import equivariant_series
+from hypeuler.hyperelliptic_core import (
+    equivariant_series,
+    nonequivariant_series,
+)
 from hypeuler.schur_transform import p_to_schur, sign_twist
 from hypeuler.verify import CheckResult
 
@@ -352,6 +356,20 @@ class TestEulerCommand:
             "4,-6",
         ]
 
+    def test_genus_one_million(self, capsys):
+        # Each value costs about n multiplications whatever the genus.
+        g = 1_000_000
+        code, out, err = run_capture(
+            capsys, ["euler", "--genus", str(g), "--max-points", "30"]
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == f"chi(H_(g,n)) for genus g = {g}"
+        series = nonequivariant_series(g, 30)
+        assert [int(line.split()[1]) for line in lines[1:]] == [
+            factorial(n) * series[n] for n in range(31)
+        ]
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("limit", [0, 4300])
     def test_all_or_nothing_past_digit_limit(self, capsys, fmt, limit):
@@ -410,10 +428,6 @@ class TestVerifyCommand:
                 "2..3",
                 "--max-points",
                 "5",
-                "--double-sum-depth",
-                "8",
-                "--totient-limit",
-                "200",
             ],
         )
         assert code == 0
@@ -430,10 +444,6 @@ class TestVerifyCommand:
                 "2..2",
                 "--max-points",
                 "4",
-                "--double-sum-depth",
-                "4",
-                "--totient-limit",
-                "50",
                 "--roundtrip",
             ],
         )
@@ -494,23 +504,20 @@ class TestExitCodes:
         assert cli.run(["series", "--genus", "2", "--bogus"]) == 2
         capsys.readouterr()
 
-    def test_negative_double_sum_depth(self, capsys):
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--double-sum-depth", "30"), ("--totient-limit", "10000")],
+        ids=["double-sum-depth", "totient-limit"],
+    )
+    def test_removed_verify_options_are_usage_errors(
+        self, capsys, option, value
+    ):
+        # The battery's double-sum depth and totient limit are fixed.
         code, out, err = run_capture(
-            capsys,
-            ["verify", "--genus-range", "2..2", "--double-sum-depth", "-5"],
+            capsys, ["verify", "--genus-range", "2..2", option, value]
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "double-sum depth" in err
-
-    def test_zero_totient_limit(self, capsys):
-        code, out, err = run_capture(
-            capsys,
-            ["verify", "--genus-range", "2..2", "--totient-limit", "0"],
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "totient limit" in err
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {option}" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run_capture(
@@ -538,10 +545,6 @@ _MIXED_CALLS = (
         "2..2",
         "--max-points",
         "3",
-        "--double-sum-depth",
-        "4",
-        "--totient-limit",
-        "20",
     ],
 )
 

@@ -28,6 +28,7 @@ from hypeuler.symfunc_series import (
     sum_of_products,
 )
 from oracles import (
+    reference_chi_pointed,
     reference_equivariant_series,
     reference_symmetry_classes,
     rotation_class_euler,
@@ -282,6 +283,11 @@ class TestChiPointed:
             series = nonequivariant_series(g, 2 * g + 6)
             for n in range(2 * g + 7):
                 assert factorial(n) * series[n] == chi_pointed(g, n)
+
+    def test_matches_factorial_form(self):
+        for g in range(2, 60):
+            for n in range(2 * g + 20):
+                assert chi_pointed(g, n) == reference_chi_pointed(g, n), (g, n)
 
 
 class TestEquivariantSchur:

@@ -1,8 +1,10 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import hypeuler.verify as verify
+from hypeuler.schur_transform import SchurVector
 from hypeuler.symfunc_series import PSPolynomial, TSeries
 from hypeuler.verify import (
     check_algebra,
@@ -14,7 +16,7 @@ from hypeuler.verify import (
 
 
 def test_battery_all_pass_small_range():
-    results = run_battery(2, 3, 5, double_sum_depth=6, totient_limit=100)
+    results = run_battery(2, 3, 5)
     assert [r.passed for r in results] == [True] * 9
     names = [r.name for r in results]
     assert names == [
@@ -31,9 +33,7 @@ def test_battery_all_pass_small_range():
 
 
 def test_battery_roundtrip_appended():
-    results = run_battery(
-        2, 2, 4, double_sum_depth=4, totient_limit=50, roundtrip=True
-    )
+    results = run_battery(2, 2, 4, roundtrip=True)
     assert results[-1].name == "basis-roundtrip" and results[-1].passed
 
 
@@ -116,6 +116,34 @@ def _bump_weight_at(func, point):
             first = terms[0]
             terms[0] = replace(first, coefficient=first.coefficient + 1)
         return terms
+
+    return bumped
+
+
+def _bump_power_sum_at(func, n):
+    # schur_to_p with the coefficient of p_n raised by one on degree-n
+    # vectors.
+    p_n = ((n, 1),)
+
+    def bumped(vec):
+        poly = func(vec)
+        if vec.n != n:
+            return poly
+        return PSPolynomial({**poly.terms, p_n: poly.coefficient(p_n) + 1})
+
+    return bumped
+
+
+def _halve_schur_at(func, n):
+    # p_to_schur with a half added to the coefficient of s[n] at degree n.
+    s_n = (n,)
+
+    def bumped(poly, degree):
+        vec = func(poly, degree)
+        if degree != n:
+            return vec
+        half = vec.coefficient(s_n) + Fraction(1, 2)
+        return SchurVector(n, {**vec.coeffs, s_n: half})
 
     return bumped
 
@@ -224,6 +252,34 @@ def _bump_weight_at(func, point):
             lambda: verify.check_algebra(),
             "linearity fails: a=4, b=1, F=[(1, 0), (3, -3)], G=[], N=4",
         ),
+        (
+            "schur_to_p",
+            _bump_power_sum_at,
+            5,
+            lambda: verify.check_basis_roundtrip(2, 3, 8),
+            "mismatch at g=2, n=5",
+        ),
+        (
+            "schur_to_p",
+            _bump_power_sum_at,
+            5,
+            lambda: verify.check_algebra(samples=5),
+            "round trip fails at [5]",
+        ),
+        (
+            "mn_character",
+            _bump_at,
+            ((2, 1), (3,)),
+            lambda: verify.check_algebra(samples=5),
+            "orthogonality fails at n=3, mu=[3], nu=[3]",
+        ),
+        (
+            "p_to_schur",
+            _halve_schur_at,
+            3,
+            lambda: verify.check_schur_integrality(2, 3, 6),
+            "non-integer multiplicity at g=2, n=3",
+        ),
     ],
     ids=[
         "closed-forms",
@@ -240,6 +296,10 @@ def _bump_weight_at(func, point):
         "algebra-inverse-pair",
         "algebra-product",
         "algebra-linearity",
+        "basis-roundtrip",
+        "algebra-round-trip",
+        "algebra-orthogonality",
+        "schur-integrality-non-integer",
     ],
 )
 def test_check_fails_at_broken_coordinate(
